@@ -6,7 +6,7 @@ check      validate a channel, report singularity witnesses and per-carrier DoF
 sweep      joint-vs-separate rate comparison over an SNR grid, emitted as CSV
 bound-mac  optimized genie MAC bound for the symmetric channel
 game       play the adversarial coefficient game
-alloc      optimal power allocation across user-chosen per-carrier bounds
+alloc      exact water-filling across user-chosen per-carrier bounds
 
 Channels come either from a JSON file (``--channel``, schema
 ``{"carriers": [{"h": [[..],[..],[..]]}, ...]}``) or from ``--builtin
@@ -24,9 +24,12 @@ import sys
 from . import channel as chan
 from . import game as game_mod
 from .outerbounds import mac_bound_grid_min, mac_bound_optimize
-from .rates import allocate_power, db_to_linear, sweep
+from .rates import db_to_linear, sweep, water_fill
 
 CSV_HEADER = "snr_db,joint_tin,separate_outer,tdma,scheme_note"
+
+#: most SNR points one ``sweep`` command may request
+MAX_SNR_POINTS = 100_000
 
 
 def _fmt(x) -> str:
@@ -81,12 +84,16 @@ def cmd_check(args) -> int:
 
 
 def _snr_grid(start: float, stop: float, step: float) -> list:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("--snr-db-start, --snr-db-stop and --snr-db-step must be finite")
     if step <= 0:
         raise ValueError("--snr-db-step must be positive")
     if stop < start:
         raise ValueError("--snr-db-stop must not be below --snr-db-start")
-    n = int((stop - start) / step + 1e-9) + 1
-    return [start + k * step for k in range(n)]
+    span = (stop - start) / step + 1e-9  # the 1e-9 keeps an on-grid stop
+    if not span < MAX_SNR_POINTS:  # also catches a span that overflows to inf
+        raise ValueError(f"the SNR grid would have more than {MAX_SNR_POINTS} points")
+    return [start + k * step for k in range(int(span) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -142,25 +149,26 @@ def cmd_game(args) -> int:
     return 0
 
 
-def _parse_bound(text: str):
+def _parse_bound(text: str) -> float:
+    """Squared gain g^2 of a per-carrier bound (1/2)log2(1 + g^2 p)."""
     if text == "example1":
-        return text, lambda p: 0.5 * math.log2(1.0 + p)
+        return 1.0
     if text.startswith("p2p:"):
         gain = float(text[4:])
-        if gain == 0:
-            raise ValueError("p2p bound needs a nonzero gain")
         g_sq = gain * gain
-        return text, lambda p: 0.5 * math.log2(1.0 + g_sq * p)
+        if not (math.isfinite(g_sq) and g_sq > 0):
+            raise ValueError("p2p bound needs a nonzero gain whose square is a finite float")
+        return g_sq
     raise ValueError(f"unknown bound spec {text!r} (use 'example1' or 'p2p:<gain>')")
 
 
 def cmd_alloc(args) -> int:
-    specs = [_parse_bound(b) for b in args.bound]
+    gains_sq = [_parse_bound(b) for b in args.bound]
     total = db_to_linear(args.snr_db)
-    alloc = allocate_power([f for _, f in specs], total)
+    alloc = water_fill(gains_sq, total)
     objective = 0.0
-    for m, ((name, f), p) in enumerate(zip(specs, alloc.per_carrier), start=1):
-        rate = f(p)
+    for m, (name, g_sq, p) in enumerate(zip(args.bound, gains_sq, alloc), start=1):
+        rate = 0.5 * math.log2(1.0 + g_sq * p)
         objective += rate
         print(f"carrier {m} ({name}): snr={_fmt(p)} rate={_fmt(rate)}")
     print(f"total snr: {_fmt(total)}")

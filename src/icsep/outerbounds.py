@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import channel as chan
-from .rates import allocate_power
+from .rates import _check_power, water_fill
 
 #: slack allowed on the noise-enhancement constraint E[(Z1+Z~)^2] <= 1
 CONSTRAINT_TOL = 1e-12
@@ -101,6 +101,13 @@ class MacSearchConfig:
     refine_maxiter: int = 500
 
 
+def _check_symmetric(h: float, snr: float) -> None:
+    """Reject a cross gain that is not a finite h > 1, or a bad snr."""
+    if not 1.0 < h < math.inf:
+        raise ValueError(f"the symmetric-channel bound requires a finite cross gain h > 1, got {h!r}")
+    _check_power(snr)
+
+
 def example1_bound(snr: float) -> float:
     """Per-carrier sum-capacity bound (1/2)log2(1 + SNR) for the
     equal-magnitude family with unit gains.
@@ -108,8 +115,7 @@ def example1_bound(snr: float) -> float:
     The caller asserts the carrier belongs to the family (as both
     counterexample carriers do); for magnitude c, pass c^2 * snr.
     """
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    _check_power(snr)
     return 0.5 * math.log2(1.0 + snr)
 
 
@@ -120,10 +126,7 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     returns (1/2)log2 det(K_z + (snr/3) H H^T) / det(K_z), the sum
     capacity of the two-antenna MAC halved into real-channel units.
     """
-    if h <= 1:
-        raise ValueError("the symmetric-channel bound requires cross gain h > 1")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    _check_symmetric(h, snr)
     a1, sigma, rho = params.a1, params.sigma, params.rho
     if sigma <= 0 or abs(rho) >= 1.0 - 1e-12:
         raise InfeasibleGenieParamsError(
@@ -164,10 +167,7 @@ def mac_bound_optimize(
     a Nelder-Mead refinement runs from the best grid point with every
     candidate clipped into the feasible box.
     """
-    if h <= 1:
-        raise ValueError("the symmetric-channel bound requires cross gain h > 1")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    _check_symmetric(h, snr)
     cfg = search_cfg or MacSearchConfig()
 
     box = cfg.a1_box_factor * h
@@ -219,10 +219,7 @@ def mac_bound_grid_min(
     given step on every axis (vectorized, sweeping one sigma slice at a
     time).  Slow but search-free; used to cross-check the optimizer.
     """
-    if h <= 1:
-        raise ValueError("the symmetric-channel bound requires cross gain h > 1")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    _check_symmetric(h, snr)
     box = a1_box_factor * h
     a1 = np.arange(-box, box + step / 2, step)[:, None]
     rhos = np.arange(-1.0 + step, 1.0 - step + step / 2, step)
@@ -286,8 +283,9 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
     """Outerbound on any separate-encoding scheme's sum rate per carrier.
 
     Each carrier must admit a finite-SNR bound known to this library
-    (the equal-magnitude family); the per-carrier bounds are then
-    combined through the optimal power allocation:
+    (the equal-magnitude family, bound (1/2)log2(1 + c_m^2 SNR_m)); the
+    per-carrier bounds are then combined through the optimal power
+    allocation, exact water-filling over the gains c_m^2:
     (1/M) max sum_m bound_m(SNR_m) over sum_m SNR_m <= snr.
 
     Raises
@@ -298,9 +296,7 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
         constant, so it is rejected too (with a distinct message).
     """
     chan.ensure_parallel_valid(channel)
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    fns = []
+    gains_sq = []
     for m, carrier in enumerate(channel.carriers, start=1):
         c = equal_magnitude_gain(carrier)
         if c is None:
@@ -312,9 +308,6 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
             else:
                 detail = "matches no bound family known to this library"
             raise NoSeparateBoundError(f"carrier {m} {detail}")
-        c_sq = c * c
-        fns.append(lambda p, c_sq=c_sq: 0.5 * math.log2(1.0 + c_sq * p))
-    if snr == 0:
-        return 0.0
-    alloc = allocate_power(fns, snr)
-    return sum(f(p) for f, p in zip(fns, alloc.per_carrier)) / channel.n_carriers
+        gains_sq.append(c * c)
+    alloc = water_fill(gains_sq, snr)
+    return sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(gains_sq, alloc)) / channel.n_carriers

@@ -31,7 +31,6 @@ DESIRED_GAIN_TOL = 1e-9
 #: unit-norm check tolerance for scheme vectors
 UNIT_NORM_TOL = 1e-6
 
-_WATERFILL_ITERS = 200
 _ALLOC_OUTER_ITERS = 200
 _ALLOC_INNER_ITERS = 60
 _ALLOC_BUDGET_RTOL = 1e-9
@@ -41,8 +40,17 @@ class AllocationError(RuntimeError):
     """Power allocation failed to converge (is every bound concave?)."""
 
 
+def _check_power(value: float, name: str = "snr") -> None:
+    """Reject a linear power that is NaN, infinite or negative."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db:g} dB is beyond the floating-point range") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -174,35 +182,21 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
     return RateReport(rates, sum(rates), sum(scheme.p))
 
 
-def _water_fill(gains_sq: np.ndarray, budget: float) -> np.ndarray:
-    """Optimal power split for sum of (1/2)log2(1 + g_m p_m) under a total budget.
+def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:
+    """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget.
 
-    Bisects the water level, then solves the active set in closed form so
-    symmetric instances split exactly.
+    Exact water-filling: sort the floors 1/g_m; the level over the k lowest
+    is (budget + their sum)/k, and the largest k whose level is at or above
+    its own k-th floor (k = 1 always is) sets p_m = max(0, level - 1/g_m).
     """
-    floors = 1.0 / gains_sq
-    if budget <= 0:
+    _check_power(budget, "power budget")
+    floors = 1.0 / np.asarray(gains_sq, dtype=float)
+    if budget == 0:
         return np.zeros_like(floors)
-    lo = float(np.min(floors))
-    hi = float(np.max(floors)) + budget
-    for _ in range(_WATERFILL_ITERS):
-        mid = 0.5 * (lo + hi)
-        if np.sum(np.maximum(0.0, mid - floors)) >= budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    active = hi - floors > 0
-    # exact water level on the bisected active set; drop any carrier that
-    # the closed form pushes negative
-    while True:
-        level = (budget + floors[active].sum()) / active.sum()
-        alloc = np.where(active, np.maximum(0.0, level - floors), 0.0)
-        still = alloc > 0
-        if np.array_equal(still, active):
-            return alloc
-        active = still
+    ordered = np.sort(floors)
+    levels = (budget + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    level = levels[np.flatnonzero(levels >= ordered)[-1]]
+    return np.maximum(0.0, level - floors)
 
 
 def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> RateReport:
@@ -215,10 +209,8 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
     chan.ensure_parallel_valid(channel)
     if active_user not in chan.USERS:
         raise ValueError(f"active_user must be in {chan.USERS}")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
     gains_sq = channel.link_gains(active_user, active_user) ** 2
-    alloc = _water_fill(gains_sq, snr)
+    alloc = water_fill(gains_sq, snr)
     m = channel.n_carriers
     rate = sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(gains_sq, alloc)) / m
     per_user = tuple(rate if i == active_user else 0.0 for i in chan.USERS)
@@ -237,6 +229,9 @@ def allocate_power(
     total_snr: float,
 ) -> PowerAllocation:
     """Maximize sum_m f_m(p_m) subject to sum_m p_m <= total_snr, p_m >= 0.
+
+    The general-concave allocator, kept for the public API and as a test
+    reference; the library's own (1/2)log2(1 + g p) bounds use water_fill.
 
     Every ``f_m`` must be concave and nondecreasing.  The allocator
     bisects the common marginal-value multiplier, with per-carrier
@@ -369,10 +364,12 @@ def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:
     grid = [float(x) for x in snr_db_grid]
     if not grid:
         raise ValueError("snr_db_grid must be nonempty")
+    if not all(math.isfinite(x) for x in grid):
+        raise ValueError("snr_db_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("snr_db_grid must be strictly increasing")
 
-    # imported here: outerbounds builds on allocate_power from this module
+    # imported here: outerbounds builds on water_fill from this module
     from .outerbounds import NoSeparateBoundError, separate_outerbound
 
     scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None

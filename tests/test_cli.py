@@ -125,6 +125,27 @@ def test_sweep_unwritable_output(tmp_path):
     assert "error" in cp.stderr
 
 
+def test_sweep_rejects_non_finite_grid_bounds():
+    cp = run_cli(
+        "sweep", "--builtin", "counterexample",
+        "--snr-db-start", "0", "--snr-db-stop", "inf", "--snr-db-step", "1",
+    )
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "finite" in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+def test_sweep_rejects_grid_above_point_cap():
+    # 6e10 points: refused before any list is built
+    cp = run_cli(
+        "sweep", "--builtin", "counterexample",
+        "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1e-9",
+    )
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "points" in cp.stderr
+    assert cp.stdout == ""
+
+
 # --------------------------------------------------------------- bound-mac
 
 def test_bound_mac_with_oracle_gap():
@@ -146,6 +167,13 @@ def test_bound_mac_rejects_h_below_one():
     cp = run_cli("bound-mac", "--h", "0.5", "--snr-db", "10")
     assert cp.returncode != 0
     assert "h > 1" in cp.stderr
+
+
+def test_bound_mac_rejects_non_finite_h():
+    cp = run_cli("bound-mac", "--h", "nan", "--snr-db", "10")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:")
+    assert cp.stdout == ""
 
 
 # -------------------------------------------------------------------- game
@@ -185,6 +213,12 @@ def test_alloc_symmetric_bounds_split_equally():
     assert "objective: " in cp.stdout
     objective = float(cp.stdout.split("objective: ")[1].strip())
     assert objective == float(f"{math.log2(6.0):.9g}")
+
+
+def test_alloc_rejects_non_finite_gain():
+    cp = run_cli("alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:nan")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "p2p" in cp.stderr
 
 
 def test_alloc_rejects_unknown_bound():

@@ -29,6 +29,12 @@ def test_example1_bound_rejects_negative_snr():
         ob.example1_bound(-1.0)
 
 
+def test_example1_bound_rejects_non_finite_snr():
+    for snr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ob.example1_bound(snr)
+
+
 def test_example1_dominates_single_carrier_tin():
     """An outerbound must sit above the TIN innerbound at the same power."""
     single = chan.ParallelChannel((CE.carriers[0],))
@@ -68,6 +74,19 @@ def test_mac_bound_eval_zero_snr():
 def test_mac_bound_eval_rejects_small_h():
     with pytest.raises(ValueError, match="h > 1"):
         ob.mac_bound_eval(1.0, 1.0, ob.GenieParams(0.0, 1.0, -0.5))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda h, snr: ob.mac_bound_eval(h, snr, ob.GenieParams(0.0, 1.0, -0.5)),
+    ob.mac_bound_optimize,
+    ob.mac_bound_grid_min,
+], ids=["eval", "optimize", "grid_min"])
+def test_mac_bound_rejects_non_finite_inputs(fn):
+    # NaN compares False with everything, so it must be rejected explicitly
+    # rather than evaluated to a bound of 0
+    for h, snr in ((math.nan, 10.0), (math.inf, 10.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fn(h, snr)
 
 
 def test_mac_bound_eval_rejects_infeasible_params():
@@ -198,6 +217,12 @@ def test_separate_outerbound_counterexample_at_30():
 
 def test_separate_outerbound_zero_snr():
     assert ob.separate_outerbound(CE, 0.0) == 0.0
+
+
+def test_separate_outerbound_rejects_non_finite_snr():
+    for snr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ob.separate_outerbound(CE, snr)
 
 
 def test_separate_outerbound_matches_grid_oracle():
