@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import channel as chan
 from .dof import estimate_dof
-from .rates import ia_feasibility, tdma_rate, tin_rate
+from .rates import _tdma_curve, _tin_curve
 
 PLAYER1 = "player1"
 PLAYER2 = "player2"
@@ -60,13 +60,11 @@ def adversary_best_response(
 
 
 def _joint_rate_fn(channel: chan.ParallelChannel):
-    """Best joint-coding innerbound available: aligned TIN, else TDMA."""
-    scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None
-    if scheme is None:
-        return lambda snr: max(
-            tdma_rate(channel, i, snr).sum_rate for i in chan.USERS
-        )
-    return lambda snr: tin_rate(channel, scheme.with_equal_power(snr)).sum_rate
+    """Best joint-coding innerbound available: aligned TIN, else TDMA.
+
+    Prepared once per channel; ``channel`` must already be validated.
+    """
+    return _tin_curve(channel) or _tdma_curve(channel)
 
 
 def play_game(

@@ -28,10 +28,9 @@ from itertools import permutations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import channel as chan
-from .rates import _check_power, water_fill
+from .rates import _check_power, _fill_rate, _prepare_fill
 
 #: slack allowed on the noise-enhancement constraint E[(Z1+Z~)^2] <= 1
 CONSTRAINT_TOL = 1e-12
@@ -128,11 +127,12 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     """
     _check_symmetric(h, snr)
     a1, sigma, rho = params.a1, params.sigma, params.rho
-    if sigma <= 0 or abs(rho) >= 1.0 - 1e-12:
+    # negated comparisons, so that a NaN field fails them
+    if not (sigma > 0 and abs(rho) < 1.0 - 1e-12):
         raise InfeasibleGenieParamsError(
             f"noise covariance is singular for sigma={sigma:.6g}, rho={rho:.6g}"
         )
-    if params.noise_enhancement() > 1.0 + CONSTRAINT_TOL:
+    if not params.noise_enhancement() <= 1.0 + CONSTRAINT_TOL:
         raise InfeasibleGenieParamsError(
             f"E[(Z1+Z~)^2] = {params.noise_enhancement():.6g} exceeds 1"
         )
@@ -143,7 +143,12 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     g22 = a1 * a1 + (1.0 - h) ** 2
     det_a = (1.0 + t * g11) * (sigma * sigma + t * g22) - (c + t * g12) ** 2
     det_k = sigma * sigma - c * c
-    return max(0.0, 0.5 * math.log2(det_a / det_k))
+    value = 0.5 * math.log2(det_a / det_k)
+    if value > 0.0:
+        return value
+    if value != value:
+        raise InfeasibleGenieParamsError(f"the bound is NaN at a1={a1!r}")
+    return 0.0
 
 
 def _clip_params(h, x, cfg) -> GenieParams:
@@ -190,6 +195,9 @@ def mac_bound_optimize(
         raise ValueError("search configuration produced an empty feasible grid")
 
     if cfg.refine:
+        # imported here: scipy is slow to load and only this search needs it
+        from scipy.optimize import minimize
+
         res = minimize(
             lambda x: mac_bound_eval(h, snr, _clip_params(h, x, cfg)),
             x0=np.array([best.a1, best.sigma, best.rho]),
@@ -279,14 +287,8 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
     return None
 
 
-def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
-    """Outerbound on any separate-encoding scheme's sum rate per carrier.
-
-    Each carrier must admit a finite-SNR bound known to this library
-    (the equal-magnitude family, bound (1/2)log2(1 + c_m^2 SNR_m)); the
-    per-carrier bounds are then combined through the optimal power
-    allocation, exact water-filling over the gains c_m^2:
-    (1/M) max sum_m bound_m(SNR_m) over sum_m SNR_m <= snr.
+def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
+    """The squared magnitudes c_m^2 of every carrier's equal-magnitude bound.
 
     Raises
     ------
@@ -295,7 +297,6 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
         merely singular pins its high-SNR slope but not a finite-SNR
         constant, so it is rejected too (with a distinct message).
     """
-    chan.ensure_parallel_valid(channel)
     gains_sq = []
     for m, carrier in enumerate(channel.carriers, start=1):
         c = equal_magnitude_gain(carrier)
@@ -309,5 +310,22 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
                 detail = "matches no bound family known to this library"
             raise NoSeparateBoundError(f"carrier {m} {detail}")
         gains_sq.append(c * c)
-    alloc = water_fill(gains_sq, snr)
-    return sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(gains_sq, alloc)) / channel.n_carriers
+    return gains_sq
+
+
+def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
+    """Outerbound on any separate-encoding scheme's sum rate per carrier.
+
+    Each carrier must admit a finite-SNR bound known to this library
+    (the equal-magnitude family, bound (1/2)log2(1 + c_m^2 SNR_m)); the
+    per-carrier bounds are then combined through the optimal power
+    allocation, exact water-filling over the gains c_m^2:
+    (1/M) max sum_m bound_m(SNR_m) over sum_m SNR_m <= snr.
+
+    Raises
+    ------
+    NoSeparateBoundError
+        If some carrier has no applicable bound (see _separate_gains_sq).
+    """
+    chan.ensure_parallel_valid(channel)
+    return _fill_rate(_prepare_fill(_separate_gains_sq(channel)), snr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -157,6 +157,21 @@ def effective_gains(channel: chan.ParallelChannel, scheme: BeamformingScheme) ->
     return out
 
 
+def _squared(g: np.ndarray) -> list:
+    """Entrywise squares of a gain matrix, as nested Python floats."""
+    return [[x**2 for x in row] for row in g.tolist()]
+
+
+def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
+    """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i) from squared effective gains."""
+    rates = []
+    for i in range(3):
+        signal = p[i] * gains_sq[i][i]
+        noise = 1.0 + sum(p[j] * gains_sq[i][j] for j in range(3) if j != i)
+        rates.append(0.5 / m * math.log2(1.0 + signal / noise))
+    return tuple(rates)
+
+
 def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateReport:
     """Sum rate of the beamforming scheme with interference treated as noise.
 
@@ -171,32 +186,59 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
     """
     chan.ensure_parallel_valid(channel)
     _check_scheme(channel, scheme)
-    m = channel.n_carriers
-    g = effective_gains(channel, scheme)
-    rates = []
-    for i in range(3):
-        signal = scheme.p[i] * g[i, i] ** 2
-        noise = 1.0 + sum(scheme.p[j] * g[i, j] ** 2 for j in range(3) if j != i)
-        rates.append(0.5 / m * math.log2(1.0 + signal / noise))
-    rates = tuple(rates)
+    rates = _tin_rates(_squared(effective_gains(channel, scheme)), scheme.p, channel.n_carriers)
     return RateReport(rates, sum(rates), sum(scheme.p))
 
 
-def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:
-    """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget.
+class _Fill(NamedTuple):
+    """The budget-free part of water-filling one gain vector, as Python floats."""
 
-    Exact water-filling: sort the floors 1/g_m; the level over the k lowest
-    is (budget + their sum)/k, and the largest k whose level is at or above
-    its own k-th floor (k = 1 always is) sets p_m = max(0, level - 1/g_m).
+    gains_sq: list
+    floors: list
+    ordered: list
+    prefix: list
+
+
+def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
+    """Floors 1/g_m, the floors sorted, and their running sums."""
+    gains_sq = np.asarray(gains_sq, dtype=float)
+    floors = 1.0 / gains_sq
+    ordered = np.sort(floors)
+    return _Fill(gains_sq.tolist(), floors.tolist(), ordered.tolist(), np.cumsum(ordered).tolist())
+
+
+def _pour(fill: _Fill, budget: float) -> list:
+    """Exact water-filling of one budget over a prepared gain vector.
+
+    The level over the k lowest floors is (budget + their sum)/k; the
+    largest k whose level is at or above its own k-th floor (k = 1 always
+    is) sets p_m = max(0, level - 1/g_m).
     """
     _check_power(budget, "power budget")
-    floors = 1.0 / np.asarray(gains_sq, dtype=float)
     if budget == 0:
-        return np.zeros_like(floors)
-    ordered = np.sort(floors)
-    levels = (budget + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
-    level = levels[np.flatnonzero(levels >= ordered)[-1]]
-    return np.maximum(0.0, level - floors)
+        return [0.0] * len(fill.floors)
+    for k, (floor, total) in enumerate(zip(fill.ordered, fill.prefix), start=1):
+        candidate = (budget + total) / k
+        if candidate >= floor:
+            level = candidate
+    # written out rather than max(0.0, d), which would turn a NaN into 0.0
+    return [0.0 if d <= 0.0 else d for d in [level - floor for floor in fill.floors]]
+
+
+def _fill_rate(fill: _Fill, budget: float) -> float:
+    """(1/M) sum_m (1/2)log2(1 + g_m p_m) at the water-filling split of ``budget``."""
+    alloc = _pour(fill, budget)
+    return sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(fill.gains_sq, alloc)) / len(alloc)
+
+
+def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:
+    """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget."""
+    return np.array(_pour(_prepare_fill(gains_sq), budget))
+
+
+def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:
+    """The prepared fill of one user's direct gains h_m[i][i]^2 across the carriers."""
+    return _prepare_fill(channel.link_gains(user, user) ** 2)
 
 
 def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> RateReport:
@@ -209,12 +251,27 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
     chan.ensure_parallel_valid(channel)
     if active_user not in chan.USERS:
         raise ValueError(f"active_user must be in {chan.USERS}")
-    gains_sq = channel.link_gains(active_user, active_user) ** 2
-    alloc = water_fill(gains_sq, snr)
-    m = channel.n_carriers
-    rate = sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(gains_sq, alloc)) / m
+    rate = _fill_rate(_direct_fill(channel, active_user), snr)
     per_user = tuple(rate if i == active_user else 0.0 for i in chan.USERS)
     return RateReport(per_user, rate, snr)
+
+
+def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:
+    """snr -> the best user's TDMA sum rate, on a channel already validated."""
+    fills = [_direct_fill(channel, i) for i in chan.USERS]
+    return lambda snr: max(_fill_rate(fill, snr) for fill in fills)
+
+
+def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], float]]:
+    """snr -> the aligned scheme's equal-power TIN sum rate, or None without alignment."""
+    scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None
+    if scheme is None:
+        return None
+    _check_scheme(channel, scheme)
+    gains_sq = _squared(effective_gains(channel, scheme))
+    m = channel.n_carriers
+    # the powers of scheme.with_equal_power(snr)
+    return lambda snr: sum(_tin_rates(gains_sq, (snr / 3.0,) * 3, m))
 
 
 def _marginal(f: Callable[[float], float], p: float) -> float:
@@ -369,24 +426,29 @@ def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("snr_db_grid must be strictly increasing")
 
-    # imported here: outerbounds builds on water_fill from this module
-    from .outerbounds import NoSeparateBoundError, separate_outerbound
+    # imported here: outerbounds builds on the water-fill core of this module
+    from .outerbounds import NoSeparateBoundError, _separate_gains_sq
 
-    scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None
+    chan.ensure_parallel_valid(channel)
+    tdma = _tdma_curve(channel)
+    joint = _tin_curve(channel)
+    note = "tdma-fallback no-ia" if joint is None else "ia-zf-tin equal-power"
+    try:
+        separate = _prepare_fill(_separate_gains_sq(channel))
+    except NoSeparateBoundError:
+        separate = None
+        note += " no-separate-bound"
     results = []
     for db in grid:
         snr = db_to_linear(db)
-        tdma = max(tdma_rate(channel, i, snr).sum_rate for i in chan.USERS)
-        if scheme is not None:
-            joint = tin_rate(channel, scheme.with_equal_power(snr)).sum_rate
-            note = "ia-zf-tin equal-power"
-        else:
-            joint = tdma
-            note = "tdma-fallback no-ia"
-        try:
-            separate = separate_outerbound(channel, snr)
-        except NoSeparateBoundError:
-            separate = None
-            note += " no-separate-bound"
-        results.append(SweepResult(db, joint, separate, tdma, note))
+        best_tdma = tdma(snr)
+        results.append(
+            SweepResult(
+                db,
+                best_tdma if joint is None else joint(snr),
+                None if separate is None else _fill_rate(separate, snr),
+                best_tdma,
+                note,
+            )
+        )
     return results

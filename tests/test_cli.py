@@ -1,11 +1,15 @@
-"""End-to-end CLI tests (run through subprocess, like a user would)."""
+"""End-to-end CLI tests, mostly through a subprocess like a user would run them."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from icsep import cli
 
 
 def run_cli(*args):
@@ -225,3 +229,29 @@ def test_alloc_rejects_unknown_bound():
     cp = run_cli("alloc", "--snr-db", "10", "--bound", "mystery")
     assert cp.returncode != 0
     assert "bound spec" in cp.stderr
+
+
+# ------------------------------------------------------ in-process output
+
+def test_import_does_not_load_scipy():
+    cp = subprocess.run(
+        [sys.executable, "-c", "import sys, icsep; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--builtin", "counterexample",
+      "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1"],
+     "aa285b7fd0428d628b396725a199fbbb9c7fc670ed2b9deca3587a0879ad290c"),
+    (["game", "--builtin", "counterexample", "--coeff", "1,2", "--coeff", "2,3"],
+     "e0688e618efd1c51727506ff85b3974b7efb71708dd1ce38c5ee940611e80937"),
+    (["game", "--builtin", "counterexample", "--coeff", "1,2"],
+     "803324ef1e365422bc855c83b344b78bc9a82d35fcb0d59981c48748fbd1ee5d"),
+])
+def test_golden_output(capsys, argv, digest):
+    # frozen stdout digests: a changed printed digit shows up here
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -99,6 +99,22 @@ def test_mac_bound_eval_rejects_infeasible_params():
         ob.mac_bound_eval(2.0, 1.0, ob.GenieParams(0.0, 1.0, 0.5))
 
 
+# a NaN field must fail the guards, not evaluate to a bound of 0
+def test_mac_bound_eval_rejects_nan_a1():
+    with pytest.raises(ob.InfeasibleGenieParamsError):
+        ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(math.nan, 1.0, -0.5))
+
+
+def test_mac_bound_eval_rejects_nan_sigma():
+    with pytest.raises(ob.InfeasibleGenieParamsError):
+        ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, math.nan, -0.5))
+
+
+def test_mac_bound_eval_rejects_nan_rho():
+    with pytest.raises(ob.InfeasibleGenieParamsError):
+        ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, 1.0, math.nan))
+
+
 def test_mac_bound_eval_nondecreasing_in_snr():
     params = ob.GenieParams(-0.3, 1.2, -0.61)
     values = [ob.mac_bound_eval(2.0, s, params) for s in np.linspace(0.0, 50.0, 40)]
