@@ -22,7 +22,6 @@ from .outerbounds import (
     GenieParams,
     InfeasibleGenieParamsError,
     MacBoundResult,
-    MacSearchConfig,
     NoSeparateBoundError,
     equal_magnitude_gain,
     example1_bound,

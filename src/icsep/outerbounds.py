@@ -81,23 +81,23 @@ class MacBoundResult:
     h: float
 
 
-@dataclass(frozen=True)
-class MacSearchConfig:
-    """Search box and resolution for :func:`mac_bound_optimize`.
+# coarse feasible grid that seeds the genie MAC search: a1 in [-4h, 4h],
+# sigma in (0, 2], rho in (-1, 1)
+_GRID_A1_BOX_FACTOR = 4.0
+_GRID_SIGMA_MAX = 2.0
+_GRID_A1_POINTS = 33
+_GRID_SIGMA_POINTS = 24
+_GRID_RHO_POINTS = 25
 
-    The genie gain is scanned over [-a1_box_factor*h, a1_box_factor*h],
-    sigma over (0, sigma_max], rho over (-1, 1), all restricted to the
-    feasible set; the best grid point seeds a simplex refinement with
-    parameters clipped back into the feasible box at every evaluation.
-    """
-
-    a1_box_factor: float = 4.0
-    sigma_max: float = 2.0
-    a1_points: int = 33
-    sigma_points: int = 24
-    rho_points: int = 25
-    refine: bool = True
-    refine_maxiter: int = 500
+# golden-section search on sigma along the noise boundary rho = -sigma/2
+_SIGMA_LO = 1e-6
+_SIGMA_HI = 2.0 - 1e-6
+_SIGMA_BRACKET = 1e-12
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# a fixed step count that shrinks the bracket to at most _SIGMA_BRACKET
+_GOLDEN_STEPS = math.ceil(
+    math.log(_SIGMA_BRACKET / (_SIGMA_HI - _SIGMA_LO)) / math.log(_INV_PHI)
+)
 
 
 def _check_symmetric(h: float, snr: float) -> None:
@@ -151,34 +151,60 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     return 0.0
 
 
-def _clip_params(h, x, cfg) -> GenieParams:
-    box = cfg.a1_box_factor * h
-    a1 = min(max(float(x[0]), -box), box)
-    sigma = min(max(float(x[1]), 1e-6), min(cfg.sigma_max, 2.0 - 1e-6))
-    # rho <= -sigma/2 keeps E[(Z1+Z~)^2] at 1 up to an ulp, inside the slack
-    rho = min(max(float(x[2]), -1.0 + 1e-9), -0.5 * sigma)
+def _boundary_params(h: float, snr: float, sigma: float) -> GenieParams:
+    """Genie params on the noise boundary rho = -sigma/2 with the exact best a1.
+
+    det(K_z + (snr/3) H H^T) is a convex quadratic in a1 with leading
+    coefficient t(1 + 2t h^2), t = snr/3, so its minimiser is closed-form.
+    With rho = -sigma/2, E[(Z1+Z~)^2] = 1 up to an ulp, inside the slack.
+    """
+    t = snr / 3.0
+    rho = -0.5 * sigma
+    a1 = (rho * sigma + t * h * (1.0 - h)) / (1.0 + 2.0 * t * h * h)
     return GenieParams(a1, sigma, rho)
 
 
-def mac_bound_optimize(
-    h: float,
-    snr: float,
-    search_cfg: Optional[MacSearchConfig] = None,
-) -> MacBoundResult:
+def _boundary_search(h: float, snr: float) -> tuple:
+    """Golden-section search on sigma over the noise boundary.
+
+    Runs a fixed _GOLDEN_STEPS steps (two evaluations, then one per step)
+    and returns (value, params) of the better final interior point.
+    """
+
+    def point(sigma):
+        params = _boundary_params(h, snr, sigma)
+        return mac_bound_eval(h, snr, params), params
+
+    lo, hi = _SIGMA_LO, _SIGMA_HI
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = point(c), point(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc[0] <= fd[0]:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = point(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = point(d)
+    return fc if fc[0] <= fd[0] else fd
+
+
+def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
     """Minimize the genie MAC bound over feasible (a1, sigma, rho).
 
     A coarse feasible grid is scanned first (deterministic order, strict
-    improvement, so ties go to the lowest lexicographic grid index), then
-    a Nelder-Mead refinement runs from the best grid point with every
-    candidate clipped into the feasible box.
+    improvement, so ties go to the lowest lexicographic grid index).  A
+    golden-section search on sigma along the noise boundary rho = -sigma/2,
+    with the closed-form best a1 at every sigma, then replaces the grid
+    point only if it is strictly lower.
     """
     _check_symmetric(h, snr)
-    cfg = search_cfg or MacSearchConfig()
 
-    box = cfg.a1_box_factor * h
-    a1s = np.linspace(-box, box, cfg.a1_points)
-    sigmas = np.linspace(cfg.sigma_max / cfg.sigma_points, cfg.sigma_max, cfg.sigma_points)
-    rhos = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, cfg.rho_points)
+    box = _GRID_A1_BOX_FACTOR * h
+    a1s = np.linspace(-box, box, _GRID_A1_POINTS)
+    sigmas = np.linspace(_GRID_SIGMA_MAX / _GRID_SIGMA_POINTS, _GRID_SIGMA_MAX, _GRID_SIGMA_POINTS)
+    rhos = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, _GRID_RHO_POINTS)
 
     best_val = None
     best = None
@@ -191,25 +217,10 @@ def mac_bound_optimize(
                 val = mac_bound_eval(h, snr, params)
                 if best_val is None or val < best_val:
                     best_val, best = val, params
-    if best is None:
-        raise ValueError("search configuration produced an empty feasible grid")
 
-    if cfg.refine:
-        # imported here: scipy is slow to load and only this search needs it
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda x: mac_bound_eval(h, snr, _clip_params(h, x, cfg)),
-            x0=np.array([best.a1, best.sigma, best.rho]),
-            method="Nelder-Mead",
-            options=dict(
-                xatol=1e-9, fatol=1e-12, maxiter=cfg.refine_maxiter, maxfev=2 * cfg.refine_maxiter
-            ),
-        )
-        cand = _clip_params(h, res.x, cfg)
-        val = mac_bound_eval(h, snr, cand)
-        if val < best_val:
-            best_val, best = val, cand
+    val, cand = _boundary_search(h, snr)
+    if val < best_val:
+        best_val, best = val, cand
 
     return MacBoundResult(best_val, best, h)
 

@@ -242,6 +242,13 @@ def test_import_does_not_load_scipy():
     assert cp.stdout.strip() == "False"
 
 
+def test_mac_bound_optimize_does_not_load_scipy():
+    code = "import sys, icsep; icsep.mac_bound_optimize(2.0, 10.0); print('scipy' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["sweep", "--builtin", "counterexample",
       "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1"],
@@ -250,6 +257,8 @@ def test_import_does_not_load_scipy():
      "e0688e618efd1c51727506ff85b3974b7efb71708dd1ce38c5ee940611e80937"),
     (["game", "--builtin", "counterexample", "--coeff", "1,2"],
      "803324ef1e365422bc855c83b344b78bc9a82d35fcb0d59981c48748fbd1ee5d"),
+    (["bound-mac", "--h", "2", "--snr-db", "0", "--snr-db", "10", "--snr-db", "20", "--oracle"],
+     "6a6b836ab6a445fe84bc86ced38d0f6b8c0a29367a54317a2b5698f415e95410"),
 ])
 def test_golden_output(capsys, argv, digest):
     # frozen stdout digests: a changed printed digit shows up here

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import outerbounds as ob
@@ -171,6 +172,55 @@ def test_mac_bound_optimize_deterministic():
     a = ob.mac_bound_optimize(2.0, 10.0)
     b = ob.mac_bound_optimize(2.0, 10.0)
     assert a == b
+
+
+# inputs where a simplex refinement from the best grid point stopped in a
+# worse basin, 0.004-0.011 bits above the dense grid
+@pytest.mark.parametrize("h, snr_db", [
+    (6.8122, 3.808),
+    (8.3585, 14.535),
+    (5.3698, 4.032),
+    (6.4548, -9.964),
+    (4.7583, -5.433),
+])
+def test_mac_bound_optimize_reaches_grid_min(h, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    assert ob.mac_bound_optimize(h, snr).value <= ob.mac_bound_grid_min(h, snr) + 1e-3
+
+
+# mac_bound_grid_min takes up to ~0.4 s per example at h = 20
+@settings(max_examples=20, deadline=None)
+@given(
+    log_h=st.floats(math.log(1.01), math.log(20.0)),
+    log_snr=st.floats(math.log(1e-3), math.log(1e7)),
+)
+def test_mac_bound_optimize_never_above_grid_min(log_h, log_snr):
+    h, snr = math.exp(log_h), math.exp(log_snr)
+    assert ob.mac_bound_optimize(h, snr).value <= ob.mac_bound_grid_min(h, snr) + 1e-3
+
+
+@settings(max_examples=50)
+@given(
+    h=st.floats(1.01, 20.0),
+    snr=st.floats(1e-3, 1e7),
+    sigma=st.floats(1e-3, 2.0 - 1e-3),
+    delta=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+)
+def test_boundary_a1_is_the_exact_minimiser(h, snr, sigma, delta):
+    best = ob._boundary_params(h, snr, sigma)
+    at_best = ob.mac_bound_eval(h, snr, best)
+    for a1 in (best.a1 - delta, best.a1 + delta):
+        moved = ob.GenieParams(a1, best.sigma, best.rho)
+        assert ob.mac_bound_eval(h, snr, moved) >= at_best - 1e-12 * max(1.0, at_best)
+
+
+@pytest.mark.parametrize("h, snr", [(2.0, 1.0), (2.0, 10.0), (6.8122, 2.4033), (1.5, 1e5)])
+def test_mac_bound_optimize_boundary_solution_is_feasible(h, snr):
+    result = ob.mac_bound_optimize(h, snr)
+    # on these inputs the golden-section stage beats every grid point
+    assert (result.value, result.params) == ob._boundary_search(h, snr)
+    assert result.params.feasible()
+    assert abs(result.params.noise_enhancement() - 1.0) <= ob.CONSTRAINT_TOL
 
 
 def test_mac_bound_grid_min_consistent_with_eval():
