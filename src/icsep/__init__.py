@@ -40,7 +40,6 @@ from .rates import (
     db_to_linear,
     effective_gains,
     ia_feasibility,
-    linear_to_db,
     sweep,
     tdma_rate,
     tin_rate,

@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 USERS = (1, 2, 3)
 
@@ -91,9 +92,15 @@ class SingleCarrierChannel:
         """Gain from transmitter j to receiver i (1-based indices)."""
         return self.h[i - 1][j - 1]
 
+    def _float_rows(self) -> tuple:
+        """The gain matrix as a 3x3 tuple of Python floats."""
+        return tuple(tuple(float(x) for x in row) for row in self.h)
+
     def as_array(self) -> np.ndarray:
         """The gain matrix as a float64 numpy array."""
-        return np.array([[float(x) for x in row] for row in self.h])
+        import numpy as np
+
+        return np.array(self._float_rows())
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,18 @@ class ParallelChannel:
     def n_carriers(self) -> int:
         return len(self.carriers)
 
+    def _link_gains(self, i: int, j: int) -> list:
+        """Per-carrier gains of the transmitter-j to receiver-i link, as Python floats."""
+        return [float(c.gain(i, j)) for c in self.carriers]
+
     def link_gains(self, i: int, j: int) -> np.ndarray:
         """Per-carrier gains of the transmitter-j to receiver-i link.
 
         This is the diagonal of the M x M link matrix, as a float vector.
         """
-        return np.array([float(c.gain(i, j)) for c in self.carriers])
+        import numpy as np
+
+        return np.array(self._link_gains(i, j))
 
 
 @dataclass(frozen=True)

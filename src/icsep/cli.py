@@ -24,7 +24,7 @@ import sys
 from . import channel as chan
 from . import game as game_mod
 from .outerbounds import mac_bound_grid_min, mac_bound_optimize
-from .rates import db_to_linear, sweep, water_fill
+from .rates import _pour, _prepare_fill, db_to_linear, sweep
 
 CSV_HEADER = "snr_db,joint_tin,separate_outer,tdma,scheme_note"
 
@@ -165,7 +165,7 @@ def _parse_bound(text: str) -> float:
 def cmd_alloc(args) -> int:
     gains_sq = [_parse_bound(b) for b in args.bound]
     total = db_to_linear(args.snr_db)
-    alloc = water_fill(gains_sq, total)
+    alloc = _pour(_prepare_fill(gains_sq), total)
     objective = 0.0
     for m, (name, g_sq, p) in enumerate(zip(args.bound, gains_sq, alloc), start=1):
         rate = 0.5 * math.log2(1.0 + g_sq * p)

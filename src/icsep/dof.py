@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from .rates import _linspace, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ def estimate_dof(
     ValueError
         On a bad window/grid, or if rate_fn returns a non-finite value.
     """
+    if not (math.isfinite(snr_db_lo) and math.isfinite(snr_db_hi)):
+        raise ValueError(f"the dB window must be finite, got [{snr_db_lo!r}, {snr_db_hi!r}]")
     if not snr_db_lo >= 30.0:
         raise ValueError("snr_db_lo must be at least 30 dB (high-SNR regime)")
     if not snr_db_hi > snr_db_lo:
@@ -56,18 +58,19 @@ def estimate_dof(
     if n_points < 5:
         raise ValueError("need at least 5 grid points")
 
-    dbs = np.linspace(snr_db_lo, snr_db_hi, n_points)
-    snrs = 10.0 ** (dbs / 10.0)
-    x = 0.5 * np.log2(snrs)
-    y = np.array([float(rate_fn(float(s))) for s in snrs])
-    if not np.all(np.isfinite(y)):
-        bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise ValueError(f"rate_fn returned a non-finite value at {dbs[bad]:.6g} dB")
+    dbs = _linspace(snr_db_lo, snr_db_hi, n_points)
+    snrs = [db_to_linear(db) for db in dbs]
+    x = [0.5 * math.log2(snr) for snr in snrs]
+    y = [float(rate_fn(snr)) for snr in snrs]
+    for db, rate in zip(dbs, y):
+        if not math.isfinite(rate):
+            raise ValueError(f"rate_fn returned a non-finite value at {db:.6g} dB")
 
-    xm = x - x.mean()
-    ym = y - y.mean()
-    slope = float(np.dot(xm, ym) / np.dot(xm, xm))
-    ss_res = float(np.sum((ym - slope * xm) ** 2))
-    ss_tot = float(np.dot(ym, ym))
+    x_mean, y_mean = math.fsum(x) / n_points, math.fsum(y) / n_points
+    xm = [v - x_mean for v in x]
+    ym = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(xm, ym)) / math.fsum(a * a for a in xm)
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(xm, ym))
+    ss_tot = math.fsum(b * b for b in ym)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return DofEstimate(slope, r_squared, (float(snr_db_lo), float(snr_db_hi)))

@@ -9,7 +9,7 @@ Two bound families are computable here:
   the sum capacity is at most (1/2)log2(1 + c^2 SNR);
 * the genie-aided MAC bound for the perfectly symmetric channel (unit
   direct gains, cross gains h > 1): a genie hands receiver 1 the side
-  signal a1*X1 + (1-h)*X2 + X3 + Z~, turning the network into a 3-user
+  signal a1*X1 + (1-h)*X2 + Z~, turning the network into a 3-user
   MAC with a two-antenna receiver whose sum capacity is a log-det ratio.
   The genie gain a1 and the noise statistics (sigma, rho) are free
   parameters, constrained so Z1 + Z~ is no stronger than the original
@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import channel as chan
-from .rates import _check_power, _fill_rate, _prepare_fill
+from .rates import _check_power, _fill_rate, _linspace, _prepare_fill
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: slack allowed on the noise-enhancement constraint E[(Z1+Z~)^2] <= 1
 CONSTRAINT_TOL = 1e-12
@@ -61,6 +62,8 @@ class GenieParams:
 
     def covariance(self) -> np.ndarray:
         """Covariance of the stacked noise [Z1, Z~]."""
+        import numpy as np
+
         c = self.rho * self.sigma
         return np.array([[1.0, c], [c, self.sigma**2]])
 
@@ -202,16 +205,16 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
     _check_symmetric(h, snr)
 
     box = _GRID_A1_BOX_FACTOR * h
-    a1s = np.linspace(-box, box, _GRID_A1_POINTS)
-    sigmas = np.linspace(_GRID_SIGMA_MAX / _GRID_SIGMA_POINTS, _GRID_SIGMA_MAX, _GRID_SIGMA_POINTS)
-    rhos = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, _GRID_RHO_POINTS)
+    a1s = _linspace(-box, box, _GRID_A1_POINTS)
+    sigmas = _linspace(_GRID_SIGMA_MAX / _GRID_SIGMA_POINTS, _GRID_SIGMA_MAX, _GRID_SIGMA_POINTS)
+    rhos = _linspace(-1.0 + 1e-6, 1.0 - 1e-6, _GRID_RHO_POINTS)
 
     best_val = None
     best = None
     for a1 in a1s:
         for sigma in sigmas:
             for rho in rhos:
-                params = GenieParams(float(a1), float(sigma), float(rho))
+                params = GenieParams(a1, sigma, rho)
                 if not params.feasible():
                     continue
                 val = mac_bound_eval(h, snr, params)
@@ -238,6 +241,8 @@ def mac_bound_grid_min(
     given step on every axis (vectorized, sweeping one sigma slice at a
     time).  Slow but search-free; used to cross-check the optimizer.
     """
+    import numpy as np
+
     _check_symmetric(h, snr)
     box = a1_box_factor * h
     a1 = np.arange(-box, box + step / 2, step)[:, None]
@@ -261,18 +266,21 @@ def mac_bound_grid_min(
     return max(0.0, best)
 
 
-# sign patterns (as int matrices) of the two counterexample carriers
-_SIGN_TARGETS = tuple(
-    np.sign(c.as_array()).astype(int) for c in chan.make_counterexample().carriers
-)
+def _signs(carrier: chan.SingleCarrierChannel) -> tuple:
+    """The sign pattern of a carrier as a 3x3 tuple of -1, 0 and 1."""
+    return tuple(tuple((x > 0) - (x < 0) for x in row) for row in carrier._float_rows())
 
 
-def _sign_equivalent(s: np.ndarray, target: np.ndarray) -> bool:
-    # look for row signs r and column signs t with r_a t_b s[a,b] == target
+# sign patterns of the two counterexample carriers
+_SIGN_TARGETS = tuple(_signs(c) for c in chan.make_counterexample().carriers)
+
+
+def _sign_equivalent(s: tuple, target: tuple) -> bool:
+    # look for row signs r and column signs t with r_a t_b s[a][b] == target
     for r0 in (1, -1):
-        t = target[0] * r0 * s[0]
-        r = target[:, 0] * t[0] * s[:, 0]
-        if np.array_equal(np.outer(r, t) * s, target):
+        t = [target[0][b] * r0 * s[0][b] for b in range(3)]
+        r = [target[a][0] * t[0] * s[a][0] for a in range(3)]
+        if all(r[a] * t[b] * s[a][b] == target[a][b] for a in range(3) for b in range(3)):
             return True
     return False
 
@@ -286,13 +294,13 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
     relabeling plus per-receiver/per-transmitter sign flips (all isomorphisms
     of the channel), to one of the counterexample carriers.
     """
-    a = np.abs(carrier.as_array())
-    c = float(a.max())
-    if c == 0 or (a.max() - a.min()) > MAGNITUDE_RTOL * c:
+    mags = [abs(x) for row in carrier._float_rows() for x in row]
+    c = max(mags)
+    if c == 0 or (c - min(mags)) > MAGNITUDE_RTOL * c:
         return None
-    s = np.sign(carrier.as_array()).astype(int)
+    s = _signs(carrier)
     for perm in permutations(range(3)):
-        sp = s[np.ix_(perm, perm)]
+        sp = tuple(tuple(s[a][b] for b in perm) for a in perm)
         if any(_sign_equivalent(sp, target) for target in _SIGN_TARGETS):
             return c
     return None

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import channel as chan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: relative tolerance for "the alignment map is a multiple of identity"
 ALIGNMENT_TOL = 1e-9
@@ -53,8 +55,13 @@ def db_to_linear(db: float) -> float:
         raise ValueError(f"{db:g} dB is beyond the floating-point range") from None
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
+def _linspace(start: float, stop: float, num: int) -> list:
+    """``num`` evenly spaced floats from start to stop, as numpy.linspace computes them.
+
+    Point k is start + k*step, and the last point is stop itself.
+    """
+    step = (stop - start) / (num - 1)
+    return [start + k * step for k in range(num - 1)] + [stop]
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,14 @@ class BeamformingScheme:
 
     def v_vec(self, j: int) -> np.ndarray:
         """Transmit direction of user j (1-based)."""
+        import numpy as np
+
         return np.array(self.v[j - 1])
 
     def u_vec(self, i: int) -> np.ndarray:
         """Receive combiner of user i (1-based)."""
+        import numpy as np
+
         return np.array(self.u[i - 1])
 
     def with_powers(self, p) -> "BeamformingScheme":
@@ -138,28 +149,58 @@ def _check_scheme(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> N
         raise ValueError("powers must be nonnegative")
 
 
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Sum of a_m b_m, added strictly left to right.
+
+    Written as a loop rather than sum(), which compensates float sums
+    from Python 3.12 on, and rather than BLAS, whose fused multiply-adds
+    round differently: a combiner orthogonal to the interference by sign
+    symmetry then cancels to an exact zero.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _times(a: Sequence[float], b: Sequence[float]) -> list:
+    """Entrywise product a_m b_m of two per-carrier vectors."""
+    return [x * y for x, y in zip(a, b)]
+
+
+def _unit(w: Sequence[float]) -> list:
+    """w scaled to unit Euclidean norm."""
+    norm = math.sqrt(_dot(w, w))
+    return [x / norm for x in w]
+
+
+def _effective_gains(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> list:
+    """The projected link gains g_ij = u_i . (H_ij v_j), as nested Python floats."""
+    return [
+        [
+            _dot(scheme.u[i - 1], _times(channel._link_gains(i, j), scheme.v[j - 1]))
+            for j in chan.USERS
+        ]
+        for i in chan.USERS
+    ]
+
+
 def effective_gains(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> np.ndarray:
     """The 3x3 matrix of projected link gains g_ij = u_i . (H_ij v_j).
 
     The diagonal holds the desired gains, off-diagonal entries are the
     residual interference amplitudes after combining (exactly zero for a
-    perfectly aligned scheme).  The dot products are summed sequentially
-    in plain float arithmetic: a combiner orthogonal to the interference
-    by sign symmetry then cancels exactly, which BLAS fused
-    multiply-adds would not guarantee.
+    perfectly aligned scheme: the dot products are summed left to right in
+    plain float arithmetic).
     """
-    out = np.empty((3, 3))
-    for i in chan.USERS:
-        u = scheme.u[i - 1]
-        for j in chan.USERS:
-            w = channel.link_gains(i, j) * scheme.v_vec(j)
-            out[i - 1, j - 1] = float(sum(ux * wx for ux, wx in zip(u, w)))
-    return out
+    import numpy as np
+
+    return np.array(_effective_gains(channel, scheme))
 
 
-def _squared(g: np.ndarray) -> list:
-    """Entrywise squares of a gain matrix, as nested Python floats."""
-    return [[x**2 for x in row] for row in g.tolist()]
+def _squared(g: list) -> list:
+    """Entrywise squares of a nested list of gains."""
+    return [[x**2 for x in row] for row in g]
 
 
 def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
@@ -186,7 +227,7 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
     """
     chan.ensure_parallel_valid(channel)
     _check_scheme(channel, scheme)
-    rates = _tin_rates(_squared(effective_gains(channel, scheme)), scheme.p, channel.n_carriers)
+    rates = _tin_rates(_squared(_effective_gains(channel, scheme)), scheme.p, channel.n_carriers)
     return RateReport(rates, sum(rates), sum(scheme.p))
 
 
@@ -200,11 +241,24 @@ class _Fill(NamedTuple):
 
 
 def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
-    """Floors 1/g_m, the floors sorted, and their running sums."""
-    gains_sq = np.asarray(gains_sq, dtype=float)
-    floors = 1.0 / gains_sq
-    ordered = np.sort(floors)
-    return _Fill(gains_sq.tolist(), floors.tolist(), ordered.tolist(), np.cumsum(ordered).tolist())
+    """Floors 1/g_m, the floors sorted, and their running sums.
+
+    Raises
+    ------
+    ValueError
+        If some squared gain is not a finite positive float whose
+        reciprocal is finite too.
+    """
+    gains_sq = [float(g) for g in gains_sq]
+    for g in gains_sq:
+        # negated comparisons, so that a NaN fails them
+        if not (0.0 < g < math.inf and 1.0 / g < math.inf):
+            raise ValueError(
+                f"squared gains must be finite and positive, with a finite reciprocal, got {g!r}"
+            )
+    floors = [1.0 / g for g in gains_sq]
+    ordered = sorted(floors)
+    return _Fill(gains_sq, floors, ordered, list(accumulate(ordered)))
 
 
 def _pour(fill: _Fill, budget: float) -> list:
@@ -233,12 +287,14 @@ def _fill_rate(fill: _Fill, budget: float) -> float:
 
 def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:
     """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget."""
+    import numpy as np
+
     return np.array(_pour(_prepare_fill(gains_sq), budget))
 
 
 def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:
     """The prepared fill of one user's direct gains h_m[i][i]^2 across the carriers."""
-    return _prepare_fill(channel.link_gains(user, user) ** 2)
+    return _prepare_fill([g * g for g in channel._link_gains(user, user)])
 
 
 def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> RateReport:
@@ -268,7 +324,7 @@ def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], floa
     if scheme is None:
         return None
     _check_scheme(channel, scheme)
-    gains_sq = _squared(effective_gains(channel, scheme))
+    gains_sq = _squared(_effective_gains(channel, scheme))
     m = channel.n_carriers
     # the powers of scheme.with_equal_power(snr)
     return lambda snr: sum(_tin_rates(gains_sq, (snr / 3.0,) * 3, m))
@@ -382,29 +438,31 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
     if channel.n_carriers != 2:
         raise ValueError("alignment feasibility is implemented for 2-carrier channels")
 
-    d = {(i, j): channel.link_gains(i, j) for i in chan.USERS for j in chan.USERS}
-    t = (d[(1, 2)] * d[(3, 1)] / d[(3, 2)]) * d[(2, 3)] / (d[(1, 3)] * d[(2, 1)])
+    d = {(i, j): channel._link_gains(i, j) for i in chan.USERS for j in chan.USERS}
+    t = [
+        (h12 * h31 / h32) * h23 / (h13 * h21)
+        for h12, h31, h32, h23, h13, h21 in zip(
+            d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)]
+        )
+    ]
     if abs(t[0] - t[1]) > ALIGNMENT_TOL * max(abs(t[0]), abs(t[1])):
         return None
 
-    v1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    v2 = d[(3, 1)] / d[(3, 2)] * v1
-    v2 = v2 / np.linalg.norm(v2)
-    v3 = d[(2, 1)] / d[(2, 3)] * v1
-    v3 = v3 / np.linalg.norm(v3)
+    v1 = [1.0 / math.sqrt(2.0)] * 2
+    v2 = _unit([a / b * x for a, b, x in zip(d[(3, 1)], d[(3, 2)], v1)])
+    v3 = _unit([a / b * x for a, b, x in zip(d[(2, 1)], d[(2, 3)], v1)])
     v = (v1, v2, v3)
 
     u = []
     for i in chan.USERS:
         j = min(x for x in chan.USERS if x != i)
-        w = d[(i, j)] * v[j - 1]
-        ui = np.array([-w[1], w[0]])
-        ui = ui / np.linalg.norm(ui)
-        gain = float(np.dot(ui, d[(i, i)] * v[i - 1]))
+        w = _times(d[(i, j)], v[j - 1])
+        ui = _unit([-w[1], w[0]])
+        gain = _dot(ui, _times(d[(i, i)], v[i - 1]))
         if abs(gain) <= DESIRED_GAIN_TOL:
             return None
         if gain < 0:
-            ui = -ui
+            ui = [-x for x in ui]
         u.append(ui)
 
     return BeamformingScheme(tuple(tuple(x) for x in v), tuple(tuple(x) for x in u))

@@ -5,11 +5,14 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icsep import cli
+from icsep import channel as chan
+from icsep import cli, rates
+from icsep.outerbounds import GenieParams
 
 
 def run_cli(*args):
@@ -231,22 +234,51 @@ def test_alloc_rejects_unknown_bound():
     assert "bound spec" in cp.stderr
 
 
-# ------------------------------------------------------ in-process output
+# ------------------------------------------- numpy at the edges, golden output
 
-def test_import_does_not_load_scipy():
-    cp = subprocess.run(
-        [sys.executable, "-c", "import sys, icsep; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+# a None entry in sys.modules makes every ``import numpy`` raise ImportError
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+@pytest.mark.parametrize("code", [
+    "import icsep",
+    "import icsep; icsep.play_game(icsep.make_counterexample(), [(1, 2), (2, 3)])",
+    "import icsep; icsep.sweep(icsep.make_counterexample(), range(61))",
+    "import icsep; icsep.mac_bound_optimize(2.0, 10.0)",
+    "from icsep import cli; "
+    "sys.exit(cli.main(['alloc', '--snr-db', '10', '--bound', 'example1', '--bound', 'p2p:2']))",
+], ids=["import", "game", "sweep", "mac-bound", "alloc"])
+def test_runs_without_numpy(code):
+    cp = subprocess.run([sys.executable, "-c", _NO_NUMPY + code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
 
 
-def test_mac_bound_optimize_does_not_load_scipy():
-    code = "import sys, icsep; icsep.mac_bound_optimize(2.0, 10.0); print('scipy' in sys.modules)"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
+_CE = chan.make_counterexample()
+_CE_SCHEME = rates.ia_feasibility(_CE)
+_WITH_FRACTION = chan.ParallelChannel(
+    (chan.SingleCarrierChannel(((1, Fraction(1, 3), 2.5), (1, 1, 1), (1, 1, -1))),)
+)
+_R2 = 0.7071067811865476  # 1/sqrt(2) rounded to a float
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: _CE.link_gains(3, 3), [-1.0, 1.0]),
+    (lambda: _WITH_FRACTION.link_gains(1, 2), [1.0 / 3.0]),
+    (lambda: _WITH_FRACTION.carriers[0].as_array(),
+     [[1.0, 1.0 / 3.0, 2.5], [1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+    (lambda: _CE_SCHEME.v_vec(2), [_R2, _R2]),
+    (lambda: _CE_SCHEME.u_vec(3), [-_R2, _R2]),
+    (lambda: rates.effective_gains(_CE, _CE_SCHEME),
+     [[1.0, 0.0, 0.0], [0.0, 1.0000000000000002, 0.0], [0.0, 0.0, 1.0000000000000002]]),
+    (lambda: rates.water_fill([4.0, 1.0, 0.25], 3.0), [1.875, 1.125, 0.0]),
+    (lambda: GenieParams(0.5, 2.0, -0.75).covariance(), [[1.0, -1.5], [-1.5, 4.0]]),
+], ids=["link_gains", "link_gains-fraction", "as_array", "v_vec", "u_vec",
+        "effective_gains", "water_fill", "covariance"])
+def test_ndarray_helpers_keep_type_and_values(call, want):
+    # values frozen from the implementation that computed them with numpy
+    got = call()
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("argv, digest", [

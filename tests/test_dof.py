@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icsep.dof import estimate_dof
 
@@ -53,3 +55,38 @@ def test_window_validation():
 def test_nonfinite_rate_diagnostic():
     with pytest.raises(ValueError, match="non-finite"):
         estimate_dof(lambda s: float("nan"), 40, 80, 5)
+
+
+@pytest.mark.parametrize("lo, hi, match", [
+    (40.0, math.inf, "window must be finite"),
+    (40.0, math.nan, "window must be finite"),
+    (math.nan, 80.0, "window must be finite"),
+    (-math.inf, 80.0, "window must be finite"),
+    (40.0, 4000.0, "beyond the floating-point range"),
+])
+def test_bad_window_rejected_before_any_rate_call(lo, hi, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        estimate_dof(lambda s: calls.append(s) or 1.0, lo, hi, 21)
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slope=st.floats(-3.0, 3.0),
+    offset=st.floats(-10.0, 10.0),
+    wiggle=st.floats(0.0, 1.0),
+    freq=st.floats(0.1, 20.0),
+    lo=st.floats(30.0, 100.0),
+    width=st.floats(1.0, 60.0),
+    n=st.integers(5, 60),
+)
+def test_slope_matches_polyfit(slope, offset, wiggle, freq, lo, width, n):
+    # an affine curve in x = (1/2)log2(snr) plus a bounded perturbation
+    def rate(snr):
+        x = 0.5 * math.log2(snr)
+        return slope * x + offset + wiggle * math.sin(freq * x)
+
+    snrs = 10.0 ** (np.linspace(lo, lo + width, n) / 10.0)
+    want = np.polyfit(0.5 * np.log2(snrs), [rate(s) for s in snrs], 1)[0]
+    assert estimate_dof(rate, lo, lo + width, n).slope == pytest.approx(want, abs=1e-12)

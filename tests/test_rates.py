@@ -234,6 +234,12 @@ def test_water_fill_rejects_bad_budget():
             rates.water_fill([1.0, 2.0], budget)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 1e-320])
+def test_water_fill_rejects_bad_gain(bad):
+    with pytest.raises(ValueError, match="squared gains"):
+        rates.water_fill([bad, 1.0], 1.0)
+
+
 def fill_case():
     """Random water-filling instance: up to 8 carriers and a budget."""
     gains = st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=8)
