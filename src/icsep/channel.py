@@ -158,14 +158,10 @@ class ValidationResult:
     issues: tuple = ()
 
 
-def validate(channel: SingleCarrierChannel, zero_tol: float = ZERO_TOL) -> ValidationResult:
-    """Check that all nine gains are finite and bounded away from zero.
-
-    Parameters
-    ----------
-    channel : SingleCarrierChannel
-    zero_tol : float
-        Entries with ``|h| <= zero_tol`` count as zero gains.
+def validate(channel: SingleCarrierChannel) -> ValidationResult:
+    """Check that all nine gains are finite, above ZERO_TOL in magnitude,
+    and small enough that their squares are finite too (every rate
+    squares the gains).
 
     Returns
     -------
@@ -183,31 +179,41 @@ def validate(channel: SingleCarrierChannel, zero_tol: float = ZERO_TOL) -> Valid
                 continue
             if not math.isfinite(x):
                 issues.append((i, j, "not a finite real number"))
-            elif abs(x) <= zero_tol:
+            elif abs(x) <= ZERO_TOL:
                 issues.append((i, j, "zero gain"))
+            elif not math.isfinite(x * x):
+                issues.append((i, j, "gain too large: its square overflows"))
     return ValidationResult(ok=not issues, issues=tuple(issues))
 
 
-def ensure_valid(channel: SingleCarrierChannel, zero_tol: float = ZERO_TOL) -> None:
+def ensure_valid(channel: SingleCarrierChannel) -> None:
     """Raise :class:`InvalidChannelError` unless ``channel`` validates."""
-    result = validate(channel, zero_tol)
+    result = validate(channel)
     if not result.ok:
         raise InvalidChannelError(result.issues)
 
 
-def ensure_parallel_valid(channel: ParallelChannel, zero_tol: float = ZERO_TOL) -> None:
+def ensure_parallel_valid(channel: ParallelChannel) -> None:
     for carrier in channel.carriers:
-        ensure_valid(carrier, zero_tol)
+        ensure_valid(carrier)
 
 
-def _ratios(channel, i, j, k, exact):
-    if exact:
-        r1 = Fraction(channel.gain(i, j)) / Fraction(channel.gain(i, i))
-        r2 = Fraction(channel.gain(k, j)) / Fraction(channel.gain(k, i))
-    else:
-        r1 = float(channel.gain(i, j)) / float(channel.gain(i, i))
-        r2 = float(channel.gain(k, j)) / float(channel.gain(k, i))
-    return r1, r2
+def _witness_scan(channel, tol, exact):
+    """Yield every triple passing the ratio test, in lexicographic order."""
+    ensure_valid(channel)
+    if not exact and not tol > 0:
+        raise ValueError("tol must be positive (or pass exact=True)")
+    for i, j, k in _TRIPLES:
+        if exact:
+            r1 = Fraction(channel.gain(i, j)) / Fraction(channel.gain(i, i))
+            r2 = Fraction(channel.gain(k, j)) / Fraction(channel.gain(k, i))
+            hit = r1 == r2
+        else:
+            r1 = float(channel.gain(i, j)) / float(channel.gain(i, i))
+            r2 = float(channel.gain(k, j)) / float(channel.gain(k, i))
+            hit = abs(r1 - r2) <= tol * max(abs(r1), abs(r2), 1.0)
+        if hit:
+            yield SingularityWitness(i, j, k, float(r1))
 
 
 def singularity_check(
@@ -237,18 +243,7 @@ def singularity_check(
     -------
     SingularityWitness or None
     """
-    ensure_valid(channel)
-    if not exact and not tol > 0:
-        raise ValueError("tol must be positive (or pass exact=True)")
-    for i, j, k in _TRIPLES:
-        r1, r2 = _ratios(channel, i, j, k, exact)
-        if exact:
-            hit = r1 == r2
-        else:
-            hit = abs(r1 - r2) <= tol * max(abs(r1), abs(r2), 1.0)
-        if hit:
-            return SingularityWitness(i, j, k, float(r1))
-    return None
+    return next(_witness_scan(channel, tol, exact), None)
 
 
 def all_witnesses(
@@ -257,16 +252,7 @@ def all_witnesses(
     exact: bool = False,
 ) -> tuple:
     """All triples passing the ratio test, in lexicographic order."""
-    ensure_valid(channel)
-    if not exact and not tol > 0:
-        raise ValueError("tol must be positive (or pass exact=True)")
-    found = []
-    for i, j, k in _TRIPLES:
-        r1, r2 = _ratios(channel, i, j, k, exact)
-        hit = (r1 == r2) if exact else abs(r1 - r2) <= tol * max(abs(r1), abs(r2), 1.0)
-        if hit:
-            found.append(SingularityWitness(i, j, k, float(r1)))
-    return tuple(found)
+    return tuple(_witness_scan(channel, tol, exact))
 
 
 def make_counterexample() -> ParallelChannel:

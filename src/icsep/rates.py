@@ -145,8 +145,9 @@ def _check_scheme(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> N
             norm = math.sqrt(sum(x * x for x in vec))
             if abs(norm - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"scheme {name}[{idx}] is not unit norm (|v| = {norm:.6g})")
-    if any(p < 0 for p in scheme.p):
-        raise ValueError("powers must be nonnegative")
+    # negated comparison, so that a NaN power fails it
+    if not all(0.0 <= p < math.inf for p in scheme.p):
+        raise ValueError("powers must be finite and nonnegative")
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:

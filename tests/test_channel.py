@@ -55,6 +55,14 @@ def test_validate_reports_nonfinite_entry():
     assert {(i, j) for i, j, _ in result.issues} == {(2, 2), (3, 3)}
 
 
+def test_validate_reports_gain_whose_square_overflows():
+    # finite, but every rate squares the gains
+    result = chan.validate(carrier([[1, 1, 1], [1, 1, -1e200], [1, 1, 1]]))
+    assert not result.ok
+    assert [(i, j) for i, j, _ in result.issues] == [(2, 3)]
+    assert chan.validate(carrier([[1, 1, 1], [1, 1, -1e150], [1, 1, 1]])).ok
+
+
 def test_validate_counterexample_carriers():
     for c in chan.make_counterexample().carriers:
         assert chan.validate(c).ok

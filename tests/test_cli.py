@@ -69,6 +69,14 @@ def test_check_zero_gain_exits_nonzero_with_position(tmp_path):
     assert "(1,2)" in cp.stdout
 
 
+def test_check_gain_whose_square_overflows_exits_2_with_position(tmp_path):
+    path = write_channel(tmp_path / "c.json", [[[1, 1, 1], [1, 1, 1], [1, 1e200, 2]]])
+    cp = run_cli("check", "--channel", path)
+    assert cp.returncode == 2
+    assert "carrier 1: invalid at (3,2)" in cp.stdout
+    assert "squared gains" not in cp.stdout + cp.stderr
+
+
 def test_check_rejects_malformed_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"carriers": [{"h": [[1, 2], [3], [4]]}]}')
@@ -290,7 +298,7 @@ def test_ndarray_helpers_keep_type_and_values(call, want):
     (["game", "--builtin", "counterexample", "--coeff", "1,2"],
      "803324ef1e365422bc855c83b344b78bc9a82d35fcb0d59981c48748fbd1ee5d"),
     (["bound-mac", "--h", "2", "--snr-db", "0", "--snr-db", "10", "--snr-db", "20", "--oracle"],
-     "6a6b836ab6a445fe84bc86ced38d0f6b8c0a29367a54317a2b5698f415e95410"),
+     "9a951ba708f858d56901626d5bd96470acedd158aaa3b4263b3681a981a356ee"),
 ])
 def test_golden_output(capsys, argv, digest):
     # frozen stdout digests: a changed printed digit shows up here

@@ -217,10 +217,33 @@ def test_boundary_a1_is_the_exact_minimiser(h, snr, sigma, delta):
 @pytest.mark.parametrize("h, snr", [(2.0, 1.0), (2.0, 10.0), (6.8122, 2.4033), (1.5, 1e5)])
 def test_mac_bound_optimize_boundary_solution_is_feasible(h, snr):
     result = ob.mac_bound_optimize(h, snr)
-    # on these inputs the golden-section stage beats every grid point
-    assert (result.value, result.params) == ob._boundary_search(h, snr)
+    # on these inputs the closed-form boundary optimum beats every grid point
+    assert (result.value, result.params) == ob._boundary_optimum(h, snr)
     assert result.params.feasible()
     assert abs(result.params.noise_enhancement() - 1.0) <= ob.CONSTRAINT_TOL
+
+
+@settings(max_examples=50)
+@given(
+    h=st.floats(1.01, 20.0),
+    snr=st.floats(1e-3, 1e7),
+    delta=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+)
+def test_boundary_sigma_is_the_exact_minimiser(h, snr, delta):
+    at_best, best = ob._boundary_optimum(h, snr)
+    for sigma in (best.sigma * (1.0 - delta), best.sigma * (1.0 + delta)):
+        moved = ob._boundary_params(h, snr, min(max(sigma, 1e-9), 2.0 - 1e-9))
+        assert ob.mac_bound_eval(h, snr, moved) >= at_best - 1e-12 * max(1.0, at_best)
+
+
+# the textbook quadratic formula finds no root at h = 1 + 1e-9
+@pytest.mark.parametrize("h, snr", [(1.0 + 1e-9, 10.0), (1.0 + 1e-9, 1e7), (2.0, 0.0)])
+def test_boundary_optimum_at_edge_inputs(h, snr):
+    value, params = ob._boundary_optimum(h, snr)
+    grid = ob.mac_bound_grid_min(h, snr)
+    assert math.isfinite(value) and 0.0 <= value <= grid
+    assert params.feasible()
+    assert ob.mac_bound_optimize(h, snr).value <= grid
 
 
 def test_mac_bound_grid_min_consistent_with_eval():

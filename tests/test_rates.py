@@ -91,6 +91,14 @@ def test_tin_rejects_negative_power():
         rates.tin_rate(CE, spec_scheme().with_powers((1.0, -1.0, 1.0)))
 
 
+# NaN and inf compare False with 0, so the check must be a negated comparison
+@pytest.mark.parametrize("p", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_tin_rejects_non_finite_or_negative_power(p):
+    scheme = rates.ia_feasibility(CE).with_powers((p, 1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        rates.tin_rate(CE, scheme)
+
+
 @settings(max_examples=25)
 @given(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=0.1, max_value=20.0))
 def test_tin_rate_nondecreasing_in_snr(db, delta_db):
@@ -153,6 +161,16 @@ def test_tdma_matches_grid_oracle_on_random_gains():
 def test_tdma_rejects_bad_user():
     with pytest.raises(ValueError, match="active_user"):
         rates.tdma_rate(CE, 4, 1.0)
+
+
+def test_tdma_and_sweep_reject_gain_whose_square_overflows():
+    rows = [list(row) for row in CE.carriers[0].h]
+    rows[0][0] = 1e200
+    big = chan.ParallelChannel((chan.SingleCarrierChannel(rows), CE.carriers[1]))
+    with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
+        rates.tdma_rate(big, 1, 10.0)
+    with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
+        rates.sweep(big, [0.0, 10.0])
 
 
 def test_tdma_rejects_non_finite_snr():
