@@ -270,7 +270,7 @@ def make_counterexample() -> ParallelChannel:
     return ParallelChannel((carrier1, carrier2))
 
 
-def per_carrier_dof(channel: ParallelChannel, tol: float = SINGULARITY_TOL) -> tuple:
+def per_carrier_dof(channel: ParallelChannel) -> tuple:
     """Degrees of freedom of each carrier taken on its own.
 
     Returns 1 for carriers where the singularity detector fires.  For
@@ -279,7 +279,7 @@ def per_carrier_dof(channel: ParallelChannel, tol: float = SINGULARITY_TOL) -> t
     """
     ensure_parallel_valid(channel)
     return tuple(
-        1 if singularity_check(c, tol) is not None else None for c in channel.carriers
+        1 if singularity_check(c) is not None else None for c in channel.carriers
     )
 
 

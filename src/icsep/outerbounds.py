@@ -3,10 +3,12 @@
 Two bound families are computable here:
 
 * the equal-magnitude family: carriers whose nine gains share one
-  magnitude c and whose sign pattern is user-relabeling / sign-flip
-  equivalent to one of the built-in counterexample carriers.  For those,
-  one receiver can decode all three messages with no noise reduction and
-  the sum capacity is at most (1/2)log2(1 + c^2 SNR);
+  magnitude c and for which exactly two of the three pair signs
+  sign(h_ij h_ji h_ii h_jj), i < j, are negative; these are the carriers
+  equivalent, up to user relabeling and sign flips, to one of the
+  built-in counterexample carriers.  For those, one receiver can decode
+  all three messages with no noise reduction and the sum capacity is at
+  most (1/2)log2(1 + c^2 SNR);
 * the genie-aided MAC bound for the perfectly symmetric channel (unit
   direct gains, cross gains h > 1): a genie hands receiver 1 the side
   signal a1*X1 + (1-h)*X2 + Z~, turning the network into a 3-user
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import TYPE_CHECKING, Optional
 
 from . import channel as chan
@@ -68,9 +69,10 @@ class GenieParams:
         return np.array([[1.0, c], [c, self.sigma**2]])
 
     def feasible(self) -> bool:
+        """True where mac_bound_eval accepts the params: the same limits."""
         return (
             self.sigma > 0
-            and abs(self.rho) < 1.0
+            and abs(self.rho) < 1.0 - 1e-12
             and self.noise_enhancement() <= 1.0 + CONSTRAINT_TOL
         )
 
@@ -258,44 +260,37 @@ def mac_bound_grid_min(h: float, snr: float, step: float = 0.01) -> float:
     return max(0.0, best)
 
 
-def _signs(carrier: chan.SingleCarrierChannel) -> tuple:
-    """The sign pattern of a carrier as a 3x3 tuple of -1, 0 and 1."""
-    return tuple(tuple((x > 0) - (x < 0) for x in row) for row in carrier._float_rows())
-
-
-# sign patterns of the two counterexample carriers
-_SIGN_TARGETS = tuple(_signs(c) for c in chan.make_counterexample().carriers)
-
-
-def _sign_equivalent(s: tuple, target: tuple) -> bool:
-    # look for row signs r and column signs t with r_a t_b s[a][b] == target
-    for r0 in (1, -1):
-        t = [target[0][b] * r0 * s[0][b] for b in range(3)]
-        r = [target[a][0] * t[0] * s[a][0] for a in range(3)]
-        if all(r[a] * t[b] * s[a][b] == target[a][b] for a in range(3) for b in range(3)):
-            return True
-    return False
-
-
 def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
     """Return the common gain magnitude c if the carrier belongs to the
     equal-magnitude bound family, else None.
 
     Family membership: all nine |h| agree (relative spread below 1e-9)
-    and the sign pattern is equivalent, under a simultaneous user
-    relabeling plus per-receiver/per-transmitter sign flips (all isomorphisms
-    of the channel), to one of the counterexample carriers.
+    and, with P_ij = sign(h_ij h_ji h_ii h_jj) for i < j, exactly two of
+    P_12, P_13, P_23 are negative.  These are the sign patterns that a
+    simultaneous user relabeling plus per-receiver/per-transmitter sign
+    flips (all isomorphisms of the channel) map onto a counterexample
+    carrier:
+
+    1. Each P_ij is unchanged by any row or column sign flip, because
+       every flip hits two of its four factors; a relabeling permutes
+       the three values.  So the orbit of the two counterexample
+       carriers (two negative values each) lies inside the set.
+    2. The set holds 8 * 3 * 2 * 2 * 2 = 192 of the 512 sign patterns,
+       as many as the orbit (enumerated in tests/test_outerbounds.py),
+       so the two are equal.
+
+    Signs are XORed as booleans: a product of four gains can underflow.
     """
-    mags = [abs(x) for row in carrier._float_rows() for x in row]
+    rows = carrier._float_rows()
+    mags = [abs(x) for row in rows for x in row]
     c = max(mags)
     if c == 0 or (c - min(mags)) > MAGNITUDE_RTOL * c:
         return None
-    s = _signs(carrier)
-    for perm in permutations(range(3)):
-        sp = tuple(tuple(s[a][b] for b in perm) for a in perm)
-        if any(_sign_equivalent(sp, target) for target in _SIGN_TARGETS):
-            return c
-    return None
+    neg = [[x < 0 for x in row] for row in rows]
+    negative_pairs = sum(
+        neg[i][j] ^ neg[j][i] ^ neg[i][i] ^ neg[j][j] for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    return c if negative_pairs == 2 else None
 
 
 def _separate_gains_sq(channel: chan.ParallelChannel) -> list:

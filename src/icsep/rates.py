@@ -39,7 +39,7 @@ _ALLOC_BUDGET_RTOL = 1e-9
 
 
 class AllocationError(RuntimeError):
-    """Power allocation failed to converge (is every bound concave?)."""
+    """A single-carrier allocation beat the allocator (is every bound concave?)."""
 
 
 def _check_power(value: float, name: str = "snr") -> None:
@@ -349,21 +349,22 @@ def allocate_power(
 
     Every ``f_m`` must be concave and nondecreasing.  The allocator
     bisects the common marginal-value multiplier, with per-carrier
-    marginals estimated by numerical differentiation; the returned
-    allocation meets the budget within 1e-9 relative (with slack only
+    marginals estimated by numerical differentiation.  Their noise can
+    make the spend jump across the budget, so the end of the final
+    multiplier bracket whose spend is nearer the budget is rescaled onto
+    it; the returned allocation spends the whole budget (with slack only
     when every marginal is exhausted first).
 
     Raises
     ------
     AllocationError
-        If the multiplier bisection cannot meet the budget, which signals
-        a non-concave input.
+        If giving the whole budget to one carrier beats the result by
+        more than 1e-12 relative, which signals a non-concave input.
     """
     fns = list(per_carrier_bound)
     if not fns:
         raise ValueError("need at least one per-carrier bound")
-    if total_snr < 0:
-        raise ValueError("total_snr must be nonnegative")
+    _check_power(total_snr, "total_snr")
     if total_snr == 0:
         return PowerAllocation((0.0,) * len(fns))
 
@@ -389,34 +390,35 @@ def allocate_power(
         alloc = [p_of(i, lam) for i in range(len(fns))]
         return sum(alloc), alloc
 
-    lam_lo = 0.0
-    spent, alloc = total_of(lam_lo)
-    if spent <= total_snr * (1.0 + _ALLOC_BUDGET_RTOL):
+    lam_lo, lam_hi = 0.0, max(marg0)
+    over = total_of(lam_lo)
+    if over[0] <= total_snr * (1.0 + _ALLOC_BUDGET_RTOL):
         # marginals exhausted before the budget; leaving slack is optimal
-        return PowerAllocation(tuple(alloc))
-    lam_hi = max(marg0)
+        alloc = over[1]
+    else:
+        under = total_of(lam_hi)
+        for _ in range(_ALLOC_OUTER_ITERS):
+            lam_mid = 0.5 * (lam_lo + lam_hi)
+            mid = total_of(lam_mid)
+            if mid[0] >= total_snr:
+                lam_lo, over = lam_mid, mid
+            else:
+                lam_hi, under = lam_mid, mid
+            if lam_hi - lam_lo <= 1e-15 * max(lam_hi, 1e-300):
+                break
+        spent, alloc = over
+        if 0.0 < under[0] and total_snr - under[0] < spent - total_snr:
+            spent, alloc = under
+        alloc = [p * (total_snr / spent) for p in alloc]
 
-    best_over = (spent, alloc)
-    for _ in range(_ALLOC_OUTER_ITERS):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        spent, alloc = total_of(lam_mid)
-        if spent >= total_snr:
-            lam_lo = lam_mid
-            best_over = (spent, alloc)
-        else:
-            lam_hi = lam_mid
-        if lam_hi - lam_lo <= 1e-15 * max(lam_hi, 1e-300):
-            break
-
-    spent, alloc = best_over
-    if spent > total_snr * (1.0 + 1e-6):
+    value = sum(f(p) for f, p in zip(fns, alloc))
+    at_zero = [f(0.0) for f in fns]
+    corner = max(sum(at_zero) - z + f(total_snr) for f, z in zip(fns, at_zero))
+    if corner - value > 1e-12 * abs(corner):
         raise AllocationError(
-            f"allocation overshoots the budget by {spent - total_snr:.3g}; "
-            "per-carrier bounds do not look concave"
+            f"one carrier alone reaches {corner:.17g}, above the allocation's "
+            f"{value:.17g}; per-carrier bounds do not look concave"
         )
-    if spent > total_snr:
-        scale = total_snr / spent
-        alloc = [p * scale for p in alloc]
     return PowerAllocation(tuple(alloc))
 
 

@@ -1,6 +1,8 @@
 """Outerbound tests: closed forms, the genie MAC bound, bound composition."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +100,16 @@ def test_mac_bound_eval_rejects_infeasible_params():
     with pytest.raises(ob.InfeasibleGenieParamsError):
         # positive correlation enhances the noise beyond unit power
         ob.mac_bound_eval(2.0, 1.0, ob.GenieParams(0.0, 1.0, 0.5))
+
+
+def test_feasible_params_near_unit_correlation_are_evaluated():
+    # feasible() and mac_bound_eval apply one |rho| limit: params that
+    # reach past it are infeasible rather than feasible and unevaluable
+    sigma = 2 - 1e-13
+    params = ob.GenieParams(0.0, sigma, -sigma / 2)
+    assert not params.feasible()
+    with pytest.raises(ob.InfeasibleGenieParamsError, match="singular"):
+        ob.mac_bound_eval(2.0, 10.0, params)
 
 
 # a NaN field must fail the guards, not evaluate to a bound of 0
@@ -296,6 +308,35 @@ def test_nonsingular_sign_pattern_not_in_family():
     c = carrier([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
     assert chan.singularity_check(c) is None
     assert ob.equal_magnitude_gain(c) is None
+
+
+def _family_orbit() -> set:
+    """Sign patterns of the counterexample carriers closed under every
+    simultaneous user relabeling and every row and column sign flip."""
+    orbit = set()
+    signs = [1, -1]
+    for base in CE.carriers:
+        s = [[1 if x > 0 else -1 for x in row] for row in base.h]
+        for perm in itertools.permutations(range(3)):
+            for r in itertools.product(signs, repeat=3):
+                for t in itertools.product(signs, repeat=3):
+                    orbit.add(tuple(
+                        r[a] * t[b] * s[perm[a]][perm[b]] for a in range(3) for b in range(3)
+                    ))
+    return orbit
+
+
+@pytest.mark.parametrize("c", [1, 1e-100, Fraction(3, 7)])
+def test_family_is_the_counterexample_orbit_on_every_sign_pattern(c):
+    orbit = _family_orbit()
+    assert len(orbit) == 192
+    for pattern in itertools.product([1, -1], repeat=9):
+        got = ob.equal_magnitude_gain(carrier([[sgn * c for sgn in pattern[3 * a:3 * a + 3]]
+                                               for a in range(3)]))
+        if pattern in orbit:
+            assert got == float(c), pattern
+        else:
+            assert got is None, pattern
 
 
 # -------------------------------------------------------- separate bound

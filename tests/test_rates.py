@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import rates
@@ -298,23 +298,40 @@ def test_water_fill_is_permutation_covariant(case, rnd):
 def test_water_fill_objective_matches_generic_allocator(case):
     gains_sq, budget = case
     fns = [half_log2(g) for g in gains_sq]
-    try:
-        reference = rates.allocate_power(fns, budget)
-    except rates.AllocationError:
-        # the reference's own defect (see the xfail test below); the KKT
-        # test still checks water_fill on such inputs
-        assume(False)
+    reference = rates.allocate_power(fns, budget)
     exact = sum(f(p) for f, p in zip(fns, rates.water_fill(gains_sq, budget)))
     assert exact >= sum(f(p) for f, p in zip(fns, reference.per_carrier)) - 1e-12
 
 
-@pytest.mark.xfail(raises=rates.AllocationError, strict=True,
-                   reason="finite-difference marginals cannot resolve two equal weak carriers")
 def test_allocate_power_equal_weak_carriers():
-    # concave input, yet the multiplier bisection overshoots the budget by
-    # 1.7e-6 relative and raises; water_fill splits it exactly
+    # concave input on which the finite-difference marginals are too
+    # noisy for the multiplier bisection to land on the budget
     assert rates.water_fill([1 / 64, 1 / 64], 0.25).tolist() == [0.125, 0.125]
     rates.allocate_power([half_log2(1 / 64)] * 2, 0.25)
+
+
+@pytest.mark.parametrize("k, gain_sq, budget", [
+    (2, 1 / 64, 0.25), (2, 1e-3, 10.0), (3, 0.01, 0.5), (4, 1 / 64, 1e-3),
+    (5, 0.2, 3.0), (6, 1e-3, 7.5), (6, 1.0, 10.0),
+])
+def test_allocate_power_equal_carriers_split_the_budget(k, gain_sq, budget):
+    fns = [half_log2(gain_sq)] * k
+    alloc = rates.allocate_power(fns, budget).per_carrier
+    assert math.fsum(alloc) == pytest.approx(budget, rel=1e-15)
+    exact = sum(f(p) for f, p in zip(fns, rates.water_fill([gain_sq] * k, budget)))
+    assert sum(f(p) for f, p in zip(fns, alloc)) == pytest.approx(exact, abs=1e-15)
+
+
+def test_allocate_power_rejects_convex_input():
+    # (3, 0) scores 9, so no split that favours the log carrier is optimal
+    with pytest.raises(rates.AllocationError, match="one carrier alone"):
+        rates.allocate_power([lambda p: p * p, half_log2(1.0)], 3.0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+def test_allocate_power_rejects_bad_budget(budget):
+    with pytest.raises(ValueError, match="total_snr must be finite and nonnegative"):
+        rates.allocate_power([half_log2(1.0)], budget)
 
 
 # ---------------------------------------------------------- ia_feasibility
