@@ -33,6 +33,7 @@ from .outerbounds import (
 from .rates import (
     AllocationError,
     BeamformingScheme,
+    FloatRangeError,
     PowerAllocation,
     RateReport,
     SweepResult,

@@ -275,9 +275,10 @@ def per_carrier_dof(channel: ParallelChannel) -> tuple:
 
     Returns 1 for carriers where the singularity detector fires.  For
     generic carriers no value is established by this library, so ``None``
-    (unknown) is reported rather than a guess.
+    (unknown) is reported rather than a guess.  Each singularity_check
+    validates its own carrier, so an invalid carrier raises
+    :class:`InvalidChannelError`.
     """
-    ensure_parallel_valid(channel)
     return tuple(
         1 if singularity_check(c) is not None else None for c in channel.carriers
     )

@@ -51,7 +51,9 @@ def adversary_best_response(
     chan.ensure_valid(carrier)
     i, j = coeff
     if i not in chan.USERS or j not in chan.USERS or i == j:
-        raise ValueError(f"coeff must be an off-diagonal position, got {coeff}")
+        raise ValueError(
+            f"coefficient position must be off-diagonal with indices in 1..3, got {coeff!r}"
+        )
     k = next(x for x in chan.USERS if x not in (i, j))
     new = Fraction(carrier.gain(i, k)) * Fraction(carrier.gain(j, j)) / Fraction(carrier.gain(j, k))
     rows = [list(row) for row in carrier.h]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import channel as chan
-from .rates import _check_power, _fill_rate, _linspace, _prepare_fill
+from .rates import FloatRangeError, _check_power, _fill_rate, _linspace, _prepare_fill
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,6 +39,9 @@ CONSTRAINT_TOL = 1e-12
 
 #: relative spread allowed when checking the all-gains-equal-magnitude family
 MAGNITUDE_RTOL = 1e-9
+
+#: most (a1, rho) points in one sigma slice of the mac_bound_grid_min oracle
+MAX_ORACLE_SLICE_POINTS = 4_000_000
 
 
 class InfeasibleGenieParamsError(ValueError):
@@ -59,7 +62,14 @@ class GenieParams:
 
     def noise_enhancement(self) -> float:
         """E[(Z1 + Z~)^2]; must stay at or below the unit noise power."""
-        return 1.0 + self.sigma**2 + 2.0 * self.rho * self.sigma
+        # sigma**2 rounds differently from sigma*sigma on some inputs, and the
+        # grid's feasibility decisions depend on it; ** raises where the
+        # product would round to inf
+        try:
+            square = self.sigma**2
+        except OverflowError:
+            square = math.inf
+        return 1.0 + square + 2.0 * self.rho * self.sigma
 
     def covariance(self) -> np.ndarray:
         """Covariance of the stacked noise [Z1, Z~]."""
@@ -69,7 +79,11 @@ class GenieParams:
         return np.array([[1.0, c], [c, self.sigma**2]])
 
     def feasible(self) -> bool:
-        """True where mac_bound_eval accepts the params: the same limits."""
+        """sigma > 0, |rho| < 1 - 1e-12 (K_z nonsingular) and E[(Z1+Z~)^2] <= 1.
+
+        The one admissibility rule: mac_bound_eval accepts exactly these
+        params.  Negated NaN comparisons are False, so a NaN field fails.
+        """
         return (
             self.sigma > 0
             and abs(self.rho) < 1.0 - 1e-12
@@ -121,24 +135,30 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     capacity of the two-antenna MAC halved into real-channel units.
     """
     _check_symmetric(h, snr)
+    if not params.feasible():
+        raise InfeasibleGenieParamsError(
+            f"genie params sigma={params.sigma:.6g}, rho={params.rho:.6g} with "
+            f"E[(Z1+Z~)^2] = {params.noise_enhancement():.6g} are infeasible: the bound "
+            f"needs sigma > 0 and |rho| < 1 - 1e-12 (else the noise covariance is "
+            f"singular) and E[(Z1+Z~)^2] <= 1"
+        )
     a1, sigma, rho = params.a1, params.sigma, params.rho
-    # negated comparisons, so that a NaN field fails them
-    if not (sigma > 0 and abs(rho) < 1.0 - 1e-12):
-        raise InfeasibleGenieParamsError(
-            f"noise covariance is singular for sigma={sigma:.6g}, rho={rho:.6g}"
-        )
-    if not params.noise_enhancement() <= 1.0 + CONSTRAINT_TOL:
-        raise InfeasibleGenieParamsError(
-            f"E[(Z1+Z~)^2] = {params.noise_enhancement():.6g} exceeds 1"
-        )
     t = snr / 3.0
     c = rho * sigma
-    g11 = 1.0 + 2.0 * h * h
-    g12 = a1 + h * (1.0 - h)
-    g22 = a1 * a1 + (1.0 - h) ** 2
-    det_a = (1.0 + t * g11) * (sigma * sigma + t * g22) - (c + t * g12) ** 2
-    det_k = sigma * sigma - c * c
-    value = 0.5 * math.log2(det_a / det_k)
+    # float ** raises OverflowError past the float range, and det_k can
+    # underflow to zero for a tiny sigma
+    try:
+        g11 = 1.0 + 2.0 * h * h
+        g12 = a1 + h * (1.0 - h)
+        g22 = a1 * a1 + (1.0 - h) ** 2
+        det_a = (1.0 + t * g11) * (sigma * sigma + t * g22) - (c + t * g12) ** 2
+        det_k = sigma * sigma - c * c
+        value = 0.5 * math.log2(det_a / det_k)
+    except (OverflowError, ZeroDivisionError):
+        raise FloatRangeError(
+            f"the genie MAC bound at h={h!r}, snr={snr!r} with {params} "
+            f"is beyond the floating-point range"
+        ) from None
     if value > 0.0:
         return value
     if value != value:
@@ -234,11 +254,27 @@ def mac_bound_grid_min(h: float, snr: float, step: float = 0.01) -> float:
     given step on every axis, a1 in [-4h, 4h] and sigma in (0, 2]
     (vectorized, sweeping one sigma slice at a time).  Slow but
     search-free; used to cross-check the optimizer.
+
+    Raises
+    ------
+    ValueError
+        If a sigma slice would hold more than MAX_ORACLE_SLICE_POINTS
+        (a1, rho) points, checked before anything is allocated.
     """
+    _check_symmetric(h, snr)
+    if not step > 0.0:
+        raise ValueError(f"the grid step must be positive, got {step!r}")
+    box = 4.0 * h
+    # a1 has 2 box/step + 1 points and rho fewer than 2/step
+    points = (2.0 * box / step + 1.0) * (2.0 / step)
+    if not points <= MAX_ORACLE_SLICE_POINTS:
+        raise ValueError(
+            f"the oracle grid at h={h:g}, step={step:g} would hold {points:.3g} points per "
+            f"sigma slice, above the cap of {MAX_ORACLE_SLICE_POINTS}"
+        )
+
     import numpy as np
 
-    _check_symmetric(h, snr)
-    box = 4.0 * h
     a1 = np.arange(-box, box + step / 2, step)[:, None]
     rhos = np.arange(-1.0 + step, 1.0 - step + step / 2, step)
     t = snr / 3.0

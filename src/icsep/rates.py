@@ -42,6 +42,10 @@ class AllocationError(RuntimeError):
     """A single-carrier allocation beat the allocator (is every bound concave?)."""
 
 
+class FloatRangeError(ValueError):
+    """An input whose result lies beyond the floating-point range."""
+
+
 def _check_power(value: float, name: str = "snr") -> None:
     """Reject a linear power that is NaN, infinite or negative."""
     if not 0.0 <= value < math.inf:
@@ -52,7 +56,7 @@ def db_to_linear(db: float) -> float:
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ValueError(f"{db:g} dB is beyond the floating-point range") from None
+        raise FloatRangeError(f"{db:g} dB is beyond the floating-point range") from None
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
@@ -145,9 +149,8 @@ def _check_scheme(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> N
             norm = math.sqrt(sum(x * x for x in vec))
             if abs(norm - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"scheme {name}[{idx}] is not unit norm (|v| = {norm:.6g})")
-    # negated comparison, so that a NaN power fails it
-    if not all(0.0 <= p < math.inf for p in scheme.p):
-        raise ValueError("powers must be finite and nonnegative")
+    for j, p in enumerate(scheme.p, start=1):
+        _check_power(p, f"power p[{j}]")
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -204,13 +207,50 @@ def _squared(g: list) -> list:
     return [[x**2 for x in row] for row in g]
 
 
+def _log2_product(a: float, b: float) -> float:
+    """log2(a b) for a, b >= 0 (-inf at zero), finite where a b overflows."""
+    return math.log2(a) + math.log2(b) if a > 0 and b > 0 else -math.inf
+
+
+def _half_log2_1p_exp2(d: float) -> float:
+    """(1/2)log2(1 + x) given d = log2 x, finite for every d < inf.
+
+    The log-domain form of a rate, for an x (a product g p, or an SINR)
+    whose float overflows; d = -inf (x = 0) gives 0.
+    """
+    return 0.5 * (max(d, 0.0) + math.log1p(2.0 ** -abs(d)) / math.log(2.0))
+
+
+def _half_log2_1p(gains_sq: Sequence[float], powers: Sequence[float]) -> list:
+    """(1/2)log2(1 + g_m p_m) per carrier, finite where g_m p_m overflows.
+
+    A finite product takes the plain formula, so its rate is unchanged bit
+    for bit; only an overflowed one goes through the log domain.
+    """
+    return [
+        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf
+        else _half_log2_1p_exp2(_log2_product(g, p))
+        for g, p in zip(gains_sq, powers)
+    ]
+
+
 def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
-    """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i) from squared effective gains."""
+    """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i) from squared effective gains.
+
+    Where the signal or the noise power overflows, the SINR is formed in
+    the log domain instead, noise = 2^0 + sum of 2^log2(p_j g_ij^2).
+    """
     rates = []
     for i in range(3):
         signal = p[i] * gains_sq[i][i]
         noise = 1.0 + sum(p[j] * gains_sq[i][j] for j in range(3) if j != i)
-        rates.append(0.5 / m * math.log2(1.0 + signal / noise))
+        if signal < math.inf and noise < math.inf:
+            rates.append(0.5 / m * math.log2(1.0 + signal / noise))
+            continue
+        logs = [0.0] + [_log2_product(p[j], gains_sq[i][j]) for j in range(3) if j != i]
+        top = max(logs)
+        log_noise = top + math.log2(sum(2.0 ** (x - top) for x in logs))
+        rates.append(_half_log2_1p_exp2(_log2_product(p[i], gains_sq[i][i]) - log_noise) / m)
     return tuple(rates)
 
 
@@ -283,7 +323,7 @@ def _pour(fill: _Fill, budget: float) -> list:
 def _fill_rate(fill: _Fill, budget: float) -> float:
     """(1/M) sum_m (1/2)log2(1 + g_m p_m) at the water-filling split of ``budget``."""
     alloc = _pour(fill, budget)
-    return sum(0.5 * math.log2(1.0 + g * p) for g, p in zip(fill.gains_sq, alloc)) / len(alloc)
+    return sum(_half_log2_1p(fill.gains_sq, alloc)) / len(alloc)
 
 
 def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:

@@ -189,6 +189,14 @@ def test_per_carrier_dof_generic_is_unknown():
     assert chan.per_carrier_dof(chan.ParallelChannel((c,))) == (None,)
 
 
+def test_per_carrier_dof_rejects_the_first_invalid_carrier():
+    ok = chan.make_counterexample().carriers[0]
+    zero = carrier([[1, 1, 1], [1, 0, 1], [1, 1, 1]])
+    nan = carrier([[float("nan"), 1, 1], [1, 1, 1], [1, 1, 1]])
+    with pytest.raises(chan.InvalidChannelError, match=r"\(2,2\): zero gain"):
+        chan.per_carrier_dof(chan.ParallelChannel((ok, zero, nan)))
+
+
 def test_per_carrier_dof_single_carrier_counterexample():
     c1 = chan.make_counterexample().carriers[0]
     assert chan.per_carrier_dof(chan.ParallelChannel((c1,))) == (1,)

@@ -161,6 +161,32 @@ def test_sweep_rejects_grid_above_point_cap():
     assert cp.stdout == ""
 
 
+def exact_half_log2(one_plus_x: Fraction) -> float:
+    """(1/2)log2 of a rational 1 + x, from log2 of its big-int numerator and denominator."""
+    return 0.5 * (math.log2(one_plus_x.numerator) - math.log2(one_plus_x.denominator))
+
+
+def test_sweep_is_finite_and_exact_for_gains_near_the_float_limit(tmp_path, capsys):
+    # every rate at 120 dB multiplies 1e300 by 1e12; the parent printed inf
+    path = write_channel(tmp_path / "c.json", [[[1e150, 1, 1], [1, 1e150, 1], [1, 1, 1e150]]])
+    argv = ["sweep", "--channel", path,
+            "--snr-db-start", "0", "--snr-db-stop", "120", "--snr-db-step", "10"]
+    assert cli.main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    want = exact_half_log2(1 + Fraction(1e150) ** 2 * 10**12)
+    assert last[0] == "120"
+    assert float(last[1]) == float(last[3]) == pytest.approx(want, rel=1e-8)
+
+
+def test_sweep_columns_are_finite_on_a_scaled_counterexample(tmp_path, capsys):
+    scaled = [[[1e150 * x for x in row] for row in c.h] for c in chan.make_counterexample().carriers]
+    argv = ["sweep", "--channel", write_channel(tmp_path / "c.json", scaled),
+            "--snr-db-start", "0", "--snr-db-stop", "120", "--snr-db-step", "1"]
+    assert cli.main(argv) == 0
+    for row in capsys.readouterr().out.splitlines()[1:]:
+        assert all(math.isfinite(float(x)) for x in row.split(",")[1:4]), row
+
+
 # --------------------------------------------------------------- bound-mac
 
 def test_bound_mac_with_oracle_gap():
@@ -191,6 +217,18 @@ def test_bound_mac_rejects_non_finite_h():
     assert cp.stdout == ""
 
 
+def test_bound_mac_beyond_the_float_range_is_an_error_not_a_traceback():
+    cp = run_cli("bound-mac", "--h", "1e80", "--snr-db", "0")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "floating-point range" in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+def test_bound_mac_oracle_rejects_an_oversized_grid(capsys):
+    assert cli.main(["bound-mac", "--h", "1e6", "--snr-db", "0", "--oracle"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -------------------------------------------------------------------- game
 
 def test_game_counterexample_construction_player1():
@@ -219,6 +257,13 @@ def test_game_rejects_malformed_coeff():
     assert "off-diagonal" in cp.stderr
 
 
+def test_game_rejects_coeff_index_out_of_range(capsys):
+    # the CLI only parses the pair; the library owns the off-diagonal rule
+    assert cli.main(["game", "--builtin", "counterexample", "--coeff", "4,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "off-diagonal" in err
+
+
 # ------------------------------------------------------------------- alloc
 
 def test_alloc_symmetric_bounds_split_equally():
@@ -228,6 +273,18 @@ def test_alloc_symmetric_bounds_split_equally():
     assert "objective: " in cp.stdout
     objective = float(cp.stdout.split("objective: ")[1].strip())
     assert objective == float(f"{math.log2(6.0):.9g}")
+
+
+def test_alloc_is_finite_and_exact_where_the_product_overflows(capsys):
+    # the parent printed rate=inf and objective: inf
+    assert cli.main(["alloc", "--snr-db", "100", "--bound", "p2p:1e150", "--bound", "example1"]) == 0
+    out = capsys.readouterr().out
+    # water level (1e10 + 1 + 1e-300)/2: carrier 1 gets 5e9 + 1/2, carrier 2 5e9 - 1/2
+    p1, p2 = Fraction(10**10 + 1, 2), Fraction(10**10 - 1, 2)
+    rate1 = exact_half_log2(1 + Fraction(1e150) ** 2 * p1)
+    rate2 = exact_half_log2(1 + p2)
+    assert float(out.split("rate=")[1].split()[0]) == pytest.approx(rate1, rel=1e-8)
+    assert float(out.split("objective: ")[1]) == pytest.approx(rate1 + rate2, rel=1e-8)
 
 
 def test_alloc_rejects_non_finite_gain():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import outerbounds as ob
-from icsep.rates import tin_rate, BeamformingScheme
+from icsep.rates import FloatRangeError, tin_rate, BeamformingScheme
 
 CE = chan.make_counterexample()
 
@@ -126,6 +127,46 @@ def test_mac_bound_eval_rejects_nan_sigma():
 def test_mac_bound_eval_rejects_nan_rho():
     with pytest.raises(ob.InfeasibleGenieParamsError):
         ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, 1.0, math.nan))
+
+
+_RHO_LIMIT = 1.0 - 1e-12  # |rho| at or past it makes K_z (numerically) singular
+
+
+@st.composite
+def _sigma_rho(draw):
+    """(sigma, rho) with the edges of admissibility drawn often: zero, NaN,
+    +-inf, |rho| at an ulp of its limit, and rho an ulp from the noise
+    boundary rho = -sigma/2."""
+    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    sigma = draw(special | st.floats() | st.floats(0.0, 2.5))
+    boundary = -sigma / 2.0
+    near_limit = st.sampled_from(
+        [_RHO_LIMIT, math.nextafter(_RHO_LIMIT, 0.0), math.nextafter(_RHO_LIMIT, 2.0)]
+    )
+    rho = draw(
+        special
+        | st.floats()
+        | st.floats(-1.0, 1.0)
+        | st.builds(lambda r, s: r * s, near_limit, st.sampled_from([-1.0, 1.0]))
+        | st.sampled_from(
+            [boundary, math.nextafter(boundary, -math.inf), math.nextafter(boundary, math.inf)]
+        )
+    )
+    return sigma, rho
+
+
+@settings(max_examples=300)
+@given(st.floats(-10.0, 10.0), _sigma_rho())
+def test_feasible_is_exactly_what_mac_bound_eval_accepts(a1, sigma_rho):
+    params = ob.GenieParams(a1, *sigma_rho)
+    rejected = False
+    try:
+        ob.mac_bound_eval(2.0, 10.0, params)
+    except ob.InfeasibleGenieParamsError:
+        rejected = True
+    except FloatRangeError:
+        pass  # admissible, but det K_z underflows for a tiny sigma
+    assert params.feasible() is not rejected
 
 
 def test_mac_bound_eval_nondecreasing_in_snr():
@@ -269,6 +310,51 @@ def test_mac_bound_grid_min_consistent_with_eval():
                 if params.feasible():
                     best = min(best, ob.mac_bound_eval(2.0, 10.0, params))
     assert got == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("h, step", [(1e6, 0.01), (2.0, 1e-4)], ids=["large-h", "fine-step"])
+def test_mac_bound_grid_min_rejects_an_oversized_grid_before_allocating(h, step):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        ob.mac_bound_grid_min(h, 1.0, step)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan])
+def test_mac_bound_grid_min_rejects_a_non_positive_step(step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        ob.mac_bound_grid_min(2.0, 1.0, step)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ob.mac_bound_optimize(2.0, 1e300),
+    lambda: ob.mac_bound_eval(1e160, 1.0, ob.GenieParams(0.0, 1.0, -0.5)),
+    lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(1e200, 1.0, -0.5)),
+    lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, 1e-200, 0.0)),
+], ids=["optimize-snr", "eval-h", "eval-a1", "eval-tiny-sigma"])
+def test_mac_bound_beyond_the_float_range_raises_a_value_error(call):
+    # float ** raises OverflowError (and det K_z can underflow to zero);
+    # neither is a ValueError, so the CLI would print a traceback
+    with pytest.raises(FloatRangeError, match="floating-point range"):
+        call()
+    assert issubclass(FloatRangeError, ValueError)
+
+
+@pytest.mark.parametrize("h, snr, want", [
+    (1e30, 1e40, 330.60784698801507),
+    (1e77, 1.0, 509.99196411193265),
+])
+def test_mac_bound_optimize_keeps_its_value_on_large_finite_inputs(h, snr, want):
+    assert ob.mac_bound_optimize(h, snr).value == want
+
+
+def test_huge_sigma_is_infeasible_rather_than_an_overflow():
+    # sigma**2 overflows; the enhancement is then far above 1
+    params = ob.GenieParams(0.0, 1e200, -0.5)
+    assert params.noise_enhancement() == math.inf
+    assert not params.feasible()
+    with pytest.raises(ob.InfeasibleGenieParamsError):
+        ob.mac_bound_eval(2.0, 10.0, params)
 
 
 # --------------------------------------------------- equal-magnitude family

@@ -1,6 +1,7 @@
 """Rate computation, power allocation and alignment feasibility tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,51 @@ def test_tdma_and_sweep_reject_gain_whose_square_overflows():
         rates.tdma_rate(big, 1, 10.0)
     with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
         rates.sweep(big, [0.0, 10.0])
+
+
+# gains near 1e150 are valid (their squares are finite), but every
+# product p g^2 at a power of 1e10 overflows a float
+BIG = chan.ParallelChannel((chan.SingleCarrierChannel(
+    ((1e150, 2e150, 3e150), (4e150, 5e150, 6e150), (7e150, 8e150, 9.5e150))
+),))
+UNIT = rates.BeamformingScheme(v=((1.0,),) * 3, u=((1.0,),) * 3)
+
+
+def exact_half_log2(one_plus_x: Fraction) -> float:
+    """(1/2)log2 of a rational 1 + x, from log2 of its big-int numerator and denominator."""
+    return 0.5 * (math.log2(one_plus_x.numerator) - math.log2(one_plus_x.denominator))
+
+
+def exact_sinr(channel, scheme, i):
+    """User i's SINR as a rational, for a single-carrier channel and v = u = (1,)."""
+    h = [[Fraction(x) for x in row] for row in channel.carriers[0].h]
+    p = [Fraction(x) for x in scheme.p]
+    noise = 1 + sum(p[j] * h[i][j] ** 2 for j in range(3) if j != i)
+    return p[i] * h[i][i] ** 2 / noise
+
+
+def test_tin_rate_is_exact_where_every_product_overflows():
+    # the parent returned (nan, nan, nan): signal and noise were both inf
+    scheme = UNIT.with_equal_power(3e10)
+    got = rates.tin_rate(BIG, scheme)
+    for i in range(3):
+        want = exact_half_log2(1 + exact_sinr(BIG, scheme, i))
+        assert got.per_user_rate[i] == pytest.approx(want, rel=1e-12)
+    assert math.isfinite(got.sum_rate)
+
+
+def test_tin_rate_is_exact_where_only_the_noise_overflows():
+    # user 1's signal 1e300 is finite, its noise is not; the SINR is ~1e-11,
+    # so the reference takes log1p of the rational rounded once
+    scheme = UNIT.with_powers((1.0, 1e10, 1e10))
+    want = 0.5 * math.log1p(float(exact_sinr(BIG, scheme, 0))) / math.log(2.0)
+    assert rates.tin_rate(BIG, scheme).per_user_rate[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_tdma_rate_is_exact_where_the_product_overflows():
+    # the parent returned inf
+    want = exact_half_log2(1 + Fraction(1e150) ** 2 * Fraction(1e10))
+    assert rates.tdma_rate(BIG, 1, 1e10).sum_rate == pytest.approx(want, rel=1e-15)
 
 
 def test_tdma_rejects_non_finite_snr():
