@@ -201,8 +201,9 @@ def ensure_parallel_valid(channel: ParallelChannel) -> None:
 def _witness_scan(channel, tol, exact):
     """Yield every triple passing the ratio test, in lexicographic order."""
     ensure_valid(channel)
-    if not exact and not tol > 0:
-        raise ValueError("tol must be positive (or pass exact=True)")
+    # negated, so that a NaN fails it; at tol >= 1 any two same-sign ratios collide
+    if not exact and not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r} (or pass exact=True)")
     for i, j, k in _TRIPLES:
         if exact:
             r1 = Fraction(channel.gain(i, j)) / Fraction(channel.gain(i, i))
@@ -232,7 +233,7 @@ def singularity_check(
     channel : SingleCarrierChannel
         Must be valid (all gains finite and nonzero).
     tol : float
-        Relative tolerance: ratios r1, r2 collide when
+        Relative tolerance in (0, 1): ratios r1, r2 collide when
         ``|r1 - r2| <= tol * max(|r1|, |r2|, 1)``.
     exact : bool
         Compare the ratios in exact rational arithmetic instead (``tol``

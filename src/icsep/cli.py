@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a channel and report singularity witnesses")
     _add_channel_opts(p)
     p.add_argument("--tol", type=float, default=chan.SINGULARITY_TOL,
-                   help="relative tolerance of the singularity ratio test")
+                   help="relative tolerance of the singularity ratio test, in (0, 1)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="joint vs separate rate sweep, CSV output")

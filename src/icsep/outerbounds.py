@@ -25,6 +25,7 @@ independent codebooks per carrier, with arbitrary decoding inside each.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -145,16 +146,24 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     a1, sigma, rho = params.a1, params.sigma, params.rho
     t = snr / 3.0
     c = rho * sigma
-    # float ** raises OverflowError past the float range, and det_k can
-    # underflow to zero for a tiny sigma
+    # float ** raises OverflowError past the float range
     try:
         g11 = 1.0 + 2.0 * h * h
         g12 = a1 + h * (1.0 - h)
         g22 = a1 * a1 + (1.0 - h) ** 2
         det_a = (1.0 + t * g11) * (sigma * sigma + t * g22) - (c + t * g12) ** 2
         det_k = sigma * sigma - c * c
-        value = 0.5 * math.log2(det_a / det_k)
-    except (OverflowError, ZeroDivisionError):
+        if det_k >= sys.float_info.min and (ratio := det_a / det_k) < math.inf:
+            value = 0.5 * math.log2(ratio)
+        elif t == 0.0 and det_a == det_k:
+            value = 0.0  # snr = 0: K_z + 0 H H^T = K_z
+        else:
+            # a tiny sigma leaves det_k below the normal range, where it loses
+            # bits, or overflows the ratio: take log2 det_k as
+            # 2 log2(sigma) + log2(1 - rho^2); log2 raises ValueError if det_a is 0
+            log_det_k = 2.0 * math.log2(sigma) + math.log2((1.0 - rho) * (1.0 + rho))
+            value = 0.5 * (math.log2(det_a) - log_det_k)
+    except (OverflowError, ValueError):
         raise FloatRangeError(
             f"the genie MAC bound at h={h!r}, snr={snr!r} with {params} "
             f"is beyond the floating-point range"

@@ -146,8 +146,8 @@ def _check_scheme(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> N
                 raise ValueError(
                     f"scheme {name}[{idx}] has length {len(vec)}, channel has {m} carriers"
                 )
-            norm = math.sqrt(sum(x * x for x in vec))
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
+            norm = math.sqrt(_dot(vec, vec))
+            if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # negated, so that a NaN fails it
                 raise ValueError(f"scheme {name}[{idx}] is not unit norm (|v| = {norm:.6g})")
     for j, p in enumerate(scheme.p, start=1):
         _check_power(p, f"power p[{j}]")
@@ -208,17 +208,16 @@ def _squared(g: list) -> list:
 
 
 def _log2_product(a: float, b: float) -> float:
-    """log2(a b) for a, b >= 0 (-inf at zero), finite where a b overflows."""
-    return math.log2(a) + math.log2(b) if a > 0 and b > 0 else -math.inf
+    """log2(a b) for a, b >= 0 (-inf at an exact zero), finite where a b overflows."""
+    return -math.inf if a == 0.0 or b == 0.0 else math.log2(a) + math.log2(b)
 
 
-def _half_log2_1p_exp2(d: float) -> float:
-    """(1/2)log2(1 + x) given d = log2 x, finite for every d < inf.
-
-    The log-domain form of a rate, for an x (a product g p, or an SINR)
-    whose float overflows; d = -inf (x = 0) gives 0.
-    """
-    return 0.5 * (max(d, 0.0) + math.log1p(2.0 ** -abs(d)) / math.log(2.0))
+def _log2_1p_ratio(a: float, b: float, noise_terms: Sequence[tuple] = ()) -> float:
+    """log2(1 + a b / (1 + sum of a_j b_j)) in the log domain, finite where a product overflows."""
+    logs = [0.0] + [_log2_product(x, y) for x, y in noise_terms]
+    top = max(logs)
+    d = _log2_product(a, b) - (top + math.log2(sum(2.0 ** (x - top) for x in logs)))
+    return max(d, 0.0) + math.log1p(2.0 ** -abs(d)) / math.log(2.0)
 
 
 def _half_log2_1p(gains_sq: Sequence[float], powers: Sequence[float]) -> list:
@@ -228,29 +227,22 @@ def _half_log2_1p(gains_sq: Sequence[float], powers: Sequence[float]) -> list:
     for bit; only an overflowed one goes through the log domain.
     """
     return [
-        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf
-        else _half_log2_1p_exp2(_log2_product(g, p))
+        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf else 0.5 * _log2_1p_ratio(g, p)
         for g, p in zip(gains_sq, powers)
     ]
 
 
 def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
-    """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i) from squared effective gains.
-
-    Where the signal or the noise power overflows, the SINR is formed in
-    the log domain instead, noise = 2^0 + sum of 2^log2(p_j g_ij^2).
-    """
+    """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i), in the log domain where a power overflows."""
     rates = []
     for i in range(3):
         signal = p[i] * gains_sq[i][i]
         noise = 1.0 + sum(p[j] * gains_sq[i][j] for j in range(3) if j != i)
         if signal < math.inf and noise < math.inf:
             rates.append(0.5 / m * math.log2(1.0 + signal / noise))
-            continue
-        logs = [0.0] + [_log2_product(p[j], gains_sq[i][j]) for j in range(3) if j != i]
-        top = max(logs)
-        log_noise = top + math.log2(sum(2.0 ** (x - top) for x in logs))
-        rates.append(_half_log2_1p_exp2(_log2_product(p[i], gains_sq[i][i]) - log_noise) / m)
+        else:
+            others = [(p[j], gains_sq[i][j]) for j in range(3) if j != i]
+            rates.append(0.5 * _log2_1p_ratio(p[i], gains_sq[i][i], others) / m)
     return tuple(rates)
 
 

@@ -1,6 +1,7 @@
 """Channel model, validation and singularity detector tests."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -53,6 +54,13 @@ def test_validate_reports_nonfinite_entry():
     result = chan.validate(carrier([[1, 1, 1], [1, float("nan"), 1], [1, 1, float("inf")]]))
     assert not result.ok
     assert {(i, j) for i, j, _ in result.issues} == {(2, 2), (3, 3)}
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+def test_validate_reports_gain_whose_float_conversion_overflows(big):
+    result = chan.validate(carrier([[1, 1, 1], [1, big, 1], [1, 1, 1]]))
+    assert not result.ok
+    assert result.issues == ((2, 2, "not a finite real number"),)
 
 
 def test_validate_reports_gain_whose_square_overflows():
@@ -117,6 +125,15 @@ def test_tol_must_be_positive():
     c1 = chan.make_counterexample().carriers[0]
     with pytest.raises(ValueError, match="tol"):
         chan.singularity_check(c1, tol=0.0)
+
+
+# a tol of 1 or more collides any two same-sign ratios, so a generic carrier
+# would get a witness; NaN must fail the check too
+@pytest.mark.parametrize("tol", [1.0, math.inf, math.nan])
+def test_tol_must_be_below_one(tol):
+    generic = carrier([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    with pytest.raises(ValueError, match="tol"):
+        chan.singularity_check(generic, tol=tol)
 
 
 def test_invalid_channel_rejected():

@@ -61,6 +61,13 @@ def test_check_generic_channel_reports_no_witness(tmp_path):
     assert "dof=unknown" in cp.stdout
 
 
+def test_check_rejects_a_tol_of_one_or_more(tmp_path, capsys):
+    # the parent printed a witness with dof=1 for this generic carrier
+    path = write_channel(tmp_path / "c.json", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]]])
+    assert cli.main(["check", "--channel", path, "--tol", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_zero_gain_exits_nonzero_with_position(tmp_path):
     path = write_channel(tmp_path / "c.json", [[[1, 0, 1], [1, 1, 1], [1, 1, 2]]])
     cp = run_cli("check", "--channel", path)

@@ -326,18 +326,62 @@ def test_mac_bound_grid_min_rejects_a_non_positive_step(step):
         ob.mac_bound_grid_min(2.0, 1.0, step)
 
 
+def test_mac_bound_grid_min_rejects_a_grid_without_a_feasible_point():
+    # at step 1.5 the rho axis is empty: arange(-1 + 1.5, 1 - 1.5 + 0.75, 1.5)
+    with pytest.raises(ValueError, match="grid contains no feasible point"):
+        ob.mac_bound_grid_min(2.0, 1.0, 1.5)
+
+
 @pytest.mark.parametrize("call", [
     lambda: ob.mac_bound_optimize(2.0, 1e300),
     lambda: ob.mac_bound_eval(1e160, 1.0, ob.GenieParams(0.0, 1.0, -0.5)),
     lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(1e200, 1.0, -0.5)),
-    lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, 1e-200, 0.0)),
-], ids=["optimize-snr", "eval-h", "eval-a1", "eval-tiny-sigma"])
+], ids=["optimize-snr", "eval-h", "eval-a1"])
 def test_mac_bound_beyond_the_float_range_raises_a_value_error(call):
-    # float ** raises OverflowError (and det K_z can underflow to zero);
-    # neither is a ValueError, so the CLI would print a traceback
+    # float ** raises OverflowError, which is not a ValueError, so the CLI
+    # would print a traceback
     with pytest.raises(FloatRangeError, match="floating-point range"):
         call()
     assert issubclass(FloatRangeError, ValueError)
+
+
+def exact_mac_bound(h, snr, params):
+    """(1/2)log2 det_a/det_k in exact rationals, from log2 of the big-int numerator and denominator."""
+    h, t = Fraction(h), Fraction(snr) / 3
+    a1, sigma, rho = (Fraction(x) for x in (params.a1, params.sigma, params.rho))
+    c = rho * sigma
+    det_a = (1 + t * (1 + 2 * h * h)) * (sigma * sigma + t * (a1 * a1 + (1 - h) ** 2)) - (
+        c + t * (a1 + h * (1 - h))
+    ) ** 2
+    ratio = det_a / (sigma * sigma - c * c)
+    return 0.5 * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
+
+
+# det K_z = sigma^2 (1 - rho^2) is subnormal from sigma ~ 1.5e-154 and zero
+# from sigma ~ 1.6e-162; the parent returned inf or raised FloatRangeError
+@pytest.mark.parametrize("sigma", [1e-154, 1e-155, 1e-160, 1e-162, 1e-200, 1e-300])
+@pytest.mark.parametrize("a1, rho", [(0.0, 0.0), (0.7, -0.9), (-3.0, 0.5)])
+def test_mac_bound_eval_is_exact_for_a_tiny_sigma(sigma, a1, rho):
+    params = ob.GenieParams(a1, sigma, rho)
+    got = ob.mac_bound_eval(2.0, 10.0, params)
+    assert got == pytest.approx(exact_mac_bound(2.0, 10.0, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-154, 1e-160, 1e-162, 1e-200, 1e-300])
+def test_mac_bound_eval_is_zero_at_zero_snr_for_a_tiny_sigma(sigma):
+    assert ob.mac_bound_eval(2.0, 0.0, ob.GenieParams(0.0, sigma, 0.0)) == 0.0
+
+
+def test_mac_bound_eval_keeps_its_value_just_above_the_subnormal_range():
+    value = ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(0.0, 1e-150, 0.0))
+    assert value == float.fromhex("0x1.f53aab475f8f1p+8")
+
+
+def test_mac_bound_eval_raises_where_det_a_underflows_too():
+    # h one ulp above 1 and a tiny snr: t (1-h)^2 and (t h (1-h))^2 underflow
+    params = ob.GenieParams(0.0, 1e-200, 0.0)
+    with pytest.raises(FloatRangeError, match="floating-point range"):
+        ob.mac_bound_eval(math.nextafter(1.0, 2.0), 1e-300, params)
 
 
 @pytest.mark.parametrize("h, snr, want", [

@@ -1,6 +1,7 @@
 """Rate computation, power allocation and alignment feasibility tests."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,20 @@ def test_tin_rejects_non_unit_vectors():
     )
     with pytest.raises(ValueError, match="unit norm"):
         rates.tin_rate(CE, bad)
+
+
+# NaN compares False with everything, so the norm check must be negated
+@pytest.mark.parametrize("field", ["v", "u"])
+def test_tin_rejects_nan_vectors(field):
+    scheme = rates.ia_feasibility(CE).with_powers((1.0, 1.0, 1.0))
+    vecs = ((math.nan, math.nan),) + getattr(scheme, field)[1:]
+    with pytest.raises(ValueError, match="unit norm"):
+        rates.tin_rate(CE, replace(scheme, **{field: vecs}))
+
+
+def test_scheme_needs_three_of_each():
+    with pytest.raises(ValueError, match="a scheme needs 3 transmit vectors"):
+        rates.BeamformingScheme(v=((1.0,),) * 2, u=((1.0,),) * 3)
 
 
 def test_tin_rejects_negative_power():
@@ -217,6 +232,39 @@ def test_tdma_rate_is_exact_where_the_product_overflows():
     # the parent returned inf
     want = exact_half_log2(1 + Fraction(1e150) ** 2 * Fraction(1e10))
     assert rates.tdma_rate(BIG, 1, 1e10).sum_rate == pytest.approx(want, rel=1e-15)
+
+
+def test_log2_product_keeps_nan():
+    assert math.isnan(rates._log2_product(math.nan, 1.0))
+    assert rates._log2_product(0.0, 1.0) == -math.inf
+
+
+def diagonal_channel(gain, cross):
+    return chan.ParallelChannel((chan.SingleCarrierChannel(
+        ((gain, cross, cross), (cross, gain, cross), (cross, cross, gain))
+    ),))
+
+
+# g p within a factor of 4 of 2^1024, on either side of the overflow
+@settings(max_examples=200)
+@given(
+    st.floats(1e30, 1e154),
+    st.floats(1e-3, 1.0),
+    st.floats(-2.0, 2.0),
+)
+def test_rates_are_exact_across_the_overflow_boundary(gain, cross_ratio, log2_offset):
+    g = gain * gain
+    p = 2.0 ** (1024.0 + log2_offset - math.log2(g))
+    channel = diagonal_channel(gain, gain * cross_ratio)
+    tdma = rates.tdma_rate(channel, 1, p).sum_rate
+    assert math.isfinite(tdma)
+    assert tdma == pytest.approx(exact_half_log2(1 + Fraction(gain) ** 2 * Fraction(p)), rel=1e-12)
+    scheme = UNIT.with_powers((p, p, p))
+    got = rates.tin_rate(channel, scheme).per_user_rate
+    for i in range(3):
+        assert math.isfinite(got[i])
+        want = exact_half_log2(1 + exact_sinr(channel, scheme, i))
+        assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_tdma_rejects_non_finite_snr():
