@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional
 
 USERS = (1, 2, 3)
 
@@ -96,12 +93,6 @@ class SingleCarrierChannel:
         """The gain matrix as a 3x3 tuple of Python floats."""
         return tuple(tuple(float(x) for x in row) for row in self.h)
 
-    def as_array(self) -> np.ndarray:
-        """The gain matrix as a float64 numpy array."""
-        import numpy as np
-
-        return np.array(self._float_rows())
-
 
 @dataclass(frozen=True)
 class ParallelChannel:
@@ -125,15 +116,6 @@ class ParallelChannel:
     def _link_gains(self, i: int, j: int) -> list:
         """Per-carrier gains of the transmitter-j to receiver-i link, as Python floats."""
         return [float(c.gain(i, j)) for c in self.carriers]
-
-    def link_gains(self, i: int, j: int) -> np.ndarray:
-        """Per-carrier gains of the transmitter-j to receiver-i link.
-
-        This is the diagonal of the M x M link matrix, as a float vector.
-        """
-        import numpy as np
-
-        return np.array(self._link_gains(i, j))
 
 
 @dataclass(frozen=True)

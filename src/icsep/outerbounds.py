@@ -27,13 +27,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import channel as chan
 from .rates import FloatRangeError, _check_power, _fill_rate, _linspace, _prepare_fill
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: slack allowed on the noise-enhancement constraint E[(Z1+Z~)^2] <= 1
 CONSTRAINT_TOL = 1e-12
@@ -71,13 +68,6 @@ class GenieParams:
         except OverflowError:
             square = math.inf
         return 1.0 + square + 2.0 * self.rho * self.sigma
-
-    def covariance(self) -> np.ndarray:
-        """Covariance of the stacked noise [Z1, Z~]."""
-        import numpy as np
-
-        c = self.rho * self.sigma
-        return np.array([[1.0, c], [c, self.sigma**2]])
 
     def feasible(self) -> bool:
         """sigma > 0, |rho| < 1 - 1e-12 (K_z nonsingular) and E[(Z1+Z~)^2] <= 1.
@@ -151,12 +141,14 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
         g11 = 1.0 + 2.0 * h * h
         g12 = a1 + h * (1.0 - h)
         g22 = a1 * a1 + (1.0 - h) ** 2
-        det_a = (1.0 + t * g11) * (sigma * sigma + t * g22) - (c + t * g12) ** 2
+        # where 2h^2 overflows, t 2h^2 need not
+        a11 = 1.0 + t * g11 if g11 < math.inf else 1.0 + t + 2.0 * t * h * h
+        det_a = a11 * (sigma * sigma + t * g22) - (c + t * g12) ** 2
         det_k = sigma * sigma - c * c
         if det_k >= sys.float_info.min and (ratio := det_a / det_k) < math.inf:
             value = 0.5 * math.log2(ratio)
-        elif t == 0.0 and det_a == det_k:
-            value = 0.0  # snr = 0: K_z + 0 H H^T = K_z
+        elif t == 0.0:
+            value = 0.0  # snr = 0: K_z + 0 H H^T = K_z, even where a term is 0 * inf
         else:
             # a tiny sigma leaves det_k below the normal range, where it loses
             # bits, or overflows the ratio: take log2 det_k as
@@ -197,7 +189,11 @@ def _boundary_optimum(h: float, snr: float) -> tuple:
     """
     t = snr / 3.0
     k = (h - 1.0) ** 2 * (1.0 + h * h * t)
-    s = 4.0 / (1.0 + math.sqrt(1.0 + 4.0 * h * (h + 1.0) / k))
+    r = 4.0 * h * (h + 1.0) / k
+    if not 0.0 < r < math.inf:
+        # 4h(h+1) or K overflowed: the same ratio in two factors
+        r = (4.0 * h / (h - 1.0) ** 2) * ((h + 1.0) / (1.0 + h * h * t))
+    s = 4.0 / (1.0 + math.sqrt(1.0 + r))
     params = _boundary_params(h, snr, math.sqrt(s))
     return mac_bound_eval(h, snr, params), params
 

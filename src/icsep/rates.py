@@ -15,7 +15,9 @@ scheme makes every cross gain g_ij (j != i) exactly zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -86,22 +88,6 @@ class BeamformingScheme:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if len(self.v) != 3 or len(self.u) != 3 or len(self.p) != 3:
             raise ValueError("a scheme needs 3 transmit vectors, 3 combiners and 3 powers")
-
-    @property
-    def n_carriers(self) -> int:
-        return len(self.v[0])
-
-    def v_vec(self, j: int) -> np.ndarray:
-        """Transmit direction of user j (1-based)."""
-        import numpy as np
-
-        return np.array(self.v[j - 1])
-
-    def u_vec(self, i: int) -> np.ndarray:
-        """Receive combiner of user i (1-based)."""
-        import numpy as np
-
-        return np.array(self.u[i - 1])
 
     def with_powers(self, p) -> "BeamformingScheme":
         return replace(self, p=tuple(float(x) for x in p))
@@ -175,6 +161,9 @@ def _times(a: Sequence[float], b: Sequence[float]) -> list:
 def _unit(w: Sequence[float]) -> list:
     """w scaled to unit Euclidean norm."""
     norm = math.sqrt(_dot(w, w))
+    if not 0.0 < norm < math.inf:
+        # the squares overflowed or underflowed; hypot scales them first
+        norm = math.hypot(*w)
     return [x / norm for x in w]
 
 
@@ -454,16 +443,22 @@ def allocate_power(
     return PowerAllocation(tuple(alloc))
 
 
+def _chain_map(h12, h31, h32, h23, h13, h21):
+    """One carrier's entry of the diagonal alignment map T (see ia_feasibility)."""
+    return (h12 * h31 / h32) * h23 / (h13 * h21)
+
+
 def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]:
     """Try to align all interference on a two-carrier channel.
 
     Solves the alignment chain v3 ~ H23^-1 H21 v1, v2 ~ H32^-1 H31 v1;
     closing the chain at receiver 1 requires v1 to be an eigenvector of
     the diagonal map T = (H13 H23^-1 H21)^-1 H12 H32^-1 H31.  When T is a
-    multiple of the identity (within a relative tolerance) any direction
-    works and v1 = [1, 1]/sqrt(2) is picked; each combiner u_i is then
-    the unit vector orthogonal to the aligned interference at receiver i,
-    sign-fixed so the desired gain is positive.
+    multiple of the identity (within a relative tolerance, judged on the
+    exact rational gains where T overflows or underflows in floats) any
+    direction works and v1 = [1, 1]/sqrt(2) is picked; each combiner u_i
+    is then the unit vector orthogonal to the aligned interference at
+    receiver i, sign-fixed so the desired gain is positive.
 
     Returns None when T has distinct eigenvalues (the only eigenvectors
     are the coordinate axes, which collapse one carrier) or when some
@@ -474,13 +469,14 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
         raise ValueError("alignment feasibility is implemented for 2-carrier channels")
 
     d = {(i, j): channel._link_gains(i, j) for i in chan.USERS for j in chan.USERS}
-    t = [
-        (h12 * h31 / h32) * h23 / (h13 * h21)
-        for h12, h31, h32, h23, h13, h21 in zip(
-            d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)]
-        )
-    ]
-    if abs(t[0] - t[1]) > ALIGNMENT_TOL * max(abs(t[0]), abs(t[1])):
+    per_carrier = list(zip(d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)]))
+    t = [_chain_map(*gains) for gains in per_carrier]
+    tol = ALIGNMENT_TOL
+    if not all(sys.float_info.min <= abs(x) < math.inf for x in t):
+        # the float map overflowed or lost bits: decide on the exact gains
+        t = [_chain_map(*map(Fraction, gains)) for gains in per_carrier]
+        tol = Fraction(ALIGNMENT_TOL)
+    if abs(t[0] - t[1]) > tol * max(abs(t[0]), abs(t[1])):
         return None
 
     v1 = [1.0 / math.sqrt(2.0)] * 2

@@ -251,9 +251,3 @@ def test_load_reports_syntax_error_position(tmp_path):
     path.write_text('{"carriers": [')
     with pytest.raises(chan.ChannelFormatError, match="line"):
         chan.load_channel(path)
-
-
-def test_link_gains_vector():
-    ce = chan.make_counterexample()
-    assert np.array_equal(ce.link_gains(3, 3), np.array([-1.0, 1.0]))
-    assert np.array_equal(ce.link_gains(1, 2), np.array([1.0, 1.0]))

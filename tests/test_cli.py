@@ -12,7 +12,6 @@ import pytest
 
 from icsep import channel as chan
 from icsep import cli, rates
-from icsep.outerbounds import GenieParams
 
 
 def run_cli(*args):
@@ -194,7 +193,24 @@ def test_sweep_columns_are_finite_on_a_scaled_counterexample(tmp_path, capsys):
         assert all(math.isfinite(float(x)) for x in row.split(",")[1:4]), row
 
 
+def test_sweep_aligns_where_the_chain_vector_squares_overflow(tmp_path, capsys):
+    # h31 scaled by 1e150 and h32 by 1e-11 on the counterexample: the aligned
+    # vectors' squared norms overflow, and the run must neither raise nor lose alignment
+    path = write_channel(tmp_path / "c.json", [[[1, 1, 1], [1, 1, 1], [1e150, 1e-11, -1]],
+                                                [[-1, 1, 1], [1, -1, 1], [1e150, 1e-11, 1]]])
+    argv = ["sweep", "--channel", path,
+            "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "10"]
+    assert cli.main(argv) == 0
+    assert "ia-zf-tin" in capsys.readouterr().out.splitlines()[-1]
+
+
 # --------------------------------------------------------------- bound-mac
+
+def test_bound_mac_at_the_edge_of_the_stated_range(capsys):
+    # snr h^2 = 1e154, where 2h^2 and 4h(h+1) overflow
+    assert cli.main(["bound-mac", "--h", "1e154", "--snr-db", "-1540"]) == 0
+    assert "bound=509.99" in capsys.readouterr().out
+
 
 def test_bound_mac_with_oracle_gap():
     cp = run_cli("bound-mac", "--h", "2", "--snr-db", "10", "--oracle")
@@ -333,24 +349,27 @@ _WITH_FRACTION = chan.ParallelChannel(
 _R2 = 0.7071067811865476  # 1/sqrt(2) rounded to a float
 
 
+# one carrier and v = u = (1,) for every user, so g_ij is the gain h_ij itself
+_ONE_CARRIER_SCHEME = rates.BeamformingScheme(((1.0,),) * 3, ((1.0,),) * 3)
+
+
 @pytest.mark.parametrize("call, want", [
-    (lambda: _CE.link_gains(3, 3), [-1.0, 1.0]),
-    (lambda: _WITH_FRACTION.link_gains(1, 2), [1.0 / 3.0]),
-    (lambda: _WITH_FRACTION.carriers[0].as_array(),
+    (lambda: rates.effective_gains(_WITH_FRACTION, _ONE_CARRIER_SCHEME),
      [[1.0, 1.0 / 3.0, 2.5], [1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
-    (lambda: _CE_SCHEME.v_vec(2), [_R2, _R2]),
-    (lambda: _CE_SCHEME.u_vec(3), [-_R2, _R2]),
     (lambda: rates.effective_gains(_CE, _CE_SCHEME),
      [[1.0, 0.0, 0.0], [0.0, 1.0000000000000002, 0.0], [0.0, 0.0, 1.0000000000000002]]),
     (lambda: rates.water_fill([4.0, 1.0, 0.25], 3.0), [1.875, 1.125, 0.0]),
-    (lambda: GenieParams(0.5, 2.0, -0.75).covariance(), [[1.0, -1.5], [-1.5, 4.0]]),
-], ids=["link_gains", "link_gains-fraction", "as_array", "v_vec", "u_vec",
-        "effective_gains", "water_fill", "covariance"])
+], ids=["effective_gains-fraction", "effective_gains", "water_fill"])
 def test_ndarray_helpers_keep_type_and_values(call, want):
     # values frozen from the implementation that computed them with numpy
     got = call()
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.tolist() == want
+
+
+def test_aligned_scheme_vectors_keep_their_values():
+    assert _CE_SCHEME.v[1] == (_R2, _R2)
+    assert _CE_SCHEME.u[2] == (-_R2, _R2)
 
 
 @pytest.mark.parametrize("argv, digest", [

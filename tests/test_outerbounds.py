@@ -57,11 +57,6 @@ def test_genie_constraint_arithmetic():
     assert params.feasible()
 
 
-def test_genie_covariance_matrix():
-    params = ob.GenieParams(a1=1.0, sigma=2.0, rho=-0.75)
-    assert np.allclose(params.covariance(), [[1.0, -1.5], [-1.5, 4.0]])
-
-
 # ----------------------------------------------------------- mac_bound_eval
 
 def test_mac_bound_eval_frozen_value():
@@ -187,7 +182,7 @@ def test_determinant_identity_against_cholesky():
         params = ob.GenieParams(a1, sigma, rho)
 
         hmat = np.array([[1.0, h, h], [a1, 1.0 - h, 0.0]])
-        k = params.covariance()
+        k = np.array([[1.0, rho * sigma], [rho * sigma, sigma * sigma]])
         a = k + snr / 3.0 * hmat @ hmat.T
         la, lk = np.linalg.cholesky(a), np.linalg.cholesky(k)
         ratio_chol = math.exp(2.0 * (np.sum(np.log(np.diag(la))) - np.sum(np.log(np.diag(lk)))))
@@ -392,6 +387,26 @@ def test_mac_bound_optimize_keeps_its_value_on_large_finite_inputs(h, snr, want)
     assert ob.mac_bound_optimize(h, snr).value == want
 
 
+# inside the stated range (h < 1.3e154, snr h^2 <= 1e154): at snr = 0 the
+# grid's a1 = +-4h squares to inf from h ~ 3.25e153, 4h(h+1) overflows from
+# h ~ 6.7e153 and 1 + 2h^2 from h ~ 9.5e153
+@pytest.mark.parametrize("h", [3.2e153, 3.3e153, 5e153, 6.8e153, 9.5e153, 1e154, 1.3e154])
+@pytest.mark.parametrize("snr_of_h", [
+    lambda h: 0.0, lambda h: 1e-300, lambda h: 1e-200, lambda h: 1e154 / h / h,
+], ids=["0", "1e-300", "1e-200", "edge"])
+def test_mac_bound_is_finite_and_exact_for_a_large_h(h, snr_of_h):
+    snr = snr_of_h(h)
+    result = ob.mac_bound_optimize(h, snr)
+    p = snr / 3.0
+    # symmetric TIN with v = u = (1,), SINR p / (1 + 2 h^2 p), formed so it cannot overflow
+    tin = 1.5 * math.log2(1.0 + p / (1.0 + 2.0 * (h * p) * h))
+    assert math.isfinite(result.value) and result.value >= tin
+    if snr == 0.0:
+        assert result.value == 0.0
+    else:
+        assert result.value == pytest.approx(exact_mac_bound(h, snr, result.params), rel=1e-12)
+
+
 def test_huge_sigma_is_infeasible_rather_than_an_overflow():
     # sigma**2 overflows; the enhancement is then far above 1
     params = ob.GenieParams(0.0, 1e200, -0.5)
@@ -415,14 +430,14 @@ def test_scaled_counterexample_carrier_gain():
 
 def test_relabeled_counterexample_carrier_is_recognized():
     # swap users 1 and 3 of carrier 1 (rows and columns together)
-    base = CE.carriers[0].as_array()
+    base = np.array(CE.carriers[0].h, dtype=float)
     perm = [2, 1, 0]
     relabeled = carrier(base[np.ix_(perm, perm)].tolist())
     assert ob.equal_magnitude_gain(relabeled) == 1.0
 
 
 def test_sign_flipped_counterexample_carrier_is_recognized():
-    base = CE.carriers[1].as_array()
+    base = np.array(CE.carriers[1].h, dtype=float)
     flipped = carrier((np.diag([-1.0, 1.0, 1.0]) @ base @ np.diag([1.0, -1.0, 1.0])).tolist())
     assert ob.equal_magnitude_gain(flipped) == 1.0
 

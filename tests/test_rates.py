@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import rates
+from icsep.dof import estimate_dof
 
 CE = chan.make_counterexample()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -464,8 +465,11 @@ def test_ia_infeasible_on_same_coeff_variant():
     # exhaustive oracle: no unit v1 off the coordinate axes closes the
     # alignment chain; the chain closes iff (H12 H32^-1 H31) v1 is
     # parallel to (H13 H23^-1 H21) v1
-    lhs_diag = channel.link_gains(1, 2) * channel.link_gains(3, 1) / channel.link_gains(3, 2)
-    rhs_diag = channel.link_gains(1, 3) * channel.link_gains(2, 1) / channel.link_gains(2, 3)
+    def link(i, j):
+        return np.array([float(c.gain(i, j)) for c in channel.carriers])
+
+    lhs_diag = link(1, 2) * link(3, 1) / link(3, 2)
+    rhs_diag = link(1, 3) * link(2, 1) / link(2, 3)
     theta = np.linspace(0.05, math.pi / 2 - 0.05, 2001)  # off-axis directions
     v = np.stack([np.cos(theta), np.sin(theta)])
     cross = lhs_diag[0] * v[0] * rhs_diag[1] * v[1] - lhs_diag[1] * v[1] * rhs_diag[0] * v[0]
@@ -485,6 +489,45 @@ def test_ia_identity_cross_gains_with_sign_diagonals():
 def test_ia_requires_two_carriers():
     with pytest.raises(ValueError, match="2-carrier"):
         rates.ia_feasibility(chan.ParallelChannel((CE.carriers[0],)))
+
+
+def two_carriers(h1, h2):
+    return chan.ParallelChannel((chan.SingleCarrierChannel(h1), chan.SingleCarrierChannel(h2)))
+
+
+def test_ia_aligns_where_the_chain_vector_squares_overflow():
+    # the counterexample with h31 scaled by 1e150 and h32 by 1e-11: before
+    # normalisation v2 ~ (h31/h32) v1 is ~7e160 per entry, whose square is inf
+    channel = two_carriers(((1, 1, 1), (1, 1, 1), (1e150, 1e-11, -1)),
+                           ((-1, 1, 1), (1, -1, 1), (1e150, 1e-11, 1)))
+    scheme = rates.ia_feasibility(channel)
+    assert scheme is not None
+    g = rates.effective_gains(channel, scheme)
+    assert all(g[i, j] == 0.0 for i in range(3) for j in range(3) if i != j)
+    joint = estimate_dof(lambda snr: rates.tin_rate(channel, scheme.with_equal_power(snr)).sum_rate)
+    assert joint.slope == pytest.approx(1.5, abs=0.05)
+
+
+def test_ia_rejects_an_alignment_map_that_overflows_on_one_carrier():
+    # T is inf on carrier 1 and finite on carrier 2; inf > tol * inf is False
+    channel = two_carriers(((1, 1e100, 1e-10), (1e-10, 1, 1e100), (1e100, 1e-10, 1)),
+                           ((1, 2, 3), (4, 1, 5), (6, 7, 1)))
+    assert rates.ia_feasibility(channel) is None
+    (r,) = rates.sweep(channel, [40.0])
+    assert r.scheme_note.startswith("tdma-fallback no-ia")
+    assert r.joint_tin == r.tdma
+
+
+def test_ia_aligns_where_the_alignment_map_overflows_on_both_carriers():
+    # the same cross gains on both carriers give the same T, exactly; the
+    # flipped direct gains keep every desired signal off the interference
+    channel = two_carriers(((1, 1e100, 1e-10), (1e-10, 1, 1e100), (1e100, 1e-10, 1)),
+                           ((-1, 1e100, 1e-10), (1e-10, -1, 1e100), (1e100, 1e-10, -1)))
+    scheme = rates.ia_feasibility(channel)
+    assert scheme is not None
+    g = rates.effective_gains(channel, scheme)
+    assert all(g[i, j] == 0.0 for i in range(3) for j in range(3) if i != j)
+    assert all(g[i, i] > 0.5 for i in range(3))
 
 
 @settings(max_examples=25)
