@@ -353,23 +353,27 @@ _R2 = 0.7071067811865476  # 1/sqrt(2) rounded to a float
 _ONE_CARRIER_SCHEME = rates.BeamformingScheme(((1.0,),) * 3, ((1.0,),) * 3)
 
 
+# The as_array, link_gains-fraction, v_vec and u_vec rows pin the values of
+# accessors since deleted: the gains through effective_gains, the aligned
+# vectors as the plain-float tuples the scheme holds.
 @pytest.mark.parametrize("call, want", [
+    (lambda: rates.effective_gains(_WITH_FRACTION, _ONE_CARRIER_SCHEME)[0, 1:2], [1.0 / 3.0]),
     (lambda: rates.effective_gains(_WITH_FRACTION, _ONE_CARRIER_SCHEME),
      [[1.0, 1.0 / 3.0, 2.5], [1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+    (lambda: _CE_SCHEME.v[1], (_R2, _R2)),
+    (lambda: _CE_SCHEME.u[2], (-_R2, _R2)),
     (lambda: rates.effective_gains(_CE, _CE_SCHEME),
      [[1.0, 0.0, 0.0], [0.0, 1.0000000000000002, 0.0], [0.0, 0.0, 1.0000000000000002]]),
     (lambda: rates.water_fill([4.0, 1.0, 0.25], 3.0), [1.875, 1.125, 0.0]),
-], ids=["effective_gains-fraction", "effective_gains", "water_fill"])
+], ids=["link_gains-fraction", "as_array", "v_vec", "u_vec", "effective_gains", "water_fill"])
 def test_ndarray_helpers_keep_type_and_values(call, want):
     # values frozen from the implementation that computed them with numpy
     got = call()
-    assert isinstance(got, np.ndarray) and got.dtype == np.float64
-    assert got.tolist() == want
-
-
-def test_aligned_scheme_vectors_keep_their_values():
-    assert _CE_SCHEME.v[1] == (_R2, _R2)
-    assert _CE_SCHEME.u[2] == (-_R2, _R2)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("argv, digest", [
