@@ -24,7 +24,7 @@ import sys
 from . import channel as chan
 from . import game as game_mod
 from .outerbounds import mac_bound_grid_min, mac_bound_optimize
-from .rates import _half_log2_1p, _pour, _prepare_fill, db_to_linear, sweep
+from .rates import _half_log2_1p, db_to_linear, sweep, water_fill
 
 CSV_HEADER = "snr_db,joint_tin,separate_outer,tdma,scheme_note"
 
@@ -164,7 +164,7 @@ def _parse_bound(text: str) -> float:
 def cmd_alloc(args) -> int:
     gains_sq = [_parse_bound(b) for b in args.bound]
     total = db_to_linear(args.snr_db)
-    alloc = _pour(_prepare_fill(gains_sq), total)
+    alloc = water_fill(gains_sq, total)
     objective = 0.0
     rates = _half_log2_1p(gains_sq, alloc)
     for m, (name, p, rate) in enumerate(zip(args.bound, alloc, rates), start=1):
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 #: relative tolerance for "the alignment map is a multiple of identity"
 ALIGNMENT_TOL = 1e-9
 
-#: a desired gain below this (absolute) makes an alignment scheme useless
+#: a desired gain below this, relative to |H_ii v_i|, makes an alignment scheme useless
 DESIRED_GAIN_TOL = 1e-9
 
 #: unit-norm check tolerance for scheme vectors
@@ -62,7 +62,7 @@ def db_to_linear(db: float) -> float:
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
-    """``num`` evenly spaced floats from start to stop, as numpy.linspace computes them.
+    """``num`` evenly spaced floats from start to stop.
 
     Point k is start + k*step, and the last point is stop itself.
     """
@@ -307,11 +307,9 @@ def _fill_rate(fill: _Fill, budget: float) -> float:
     return sum(_half_log2_1p(fill.gains_sq, alloc)) / len(alloc)
 
 
-def water_fill(gains_sq: Sequence[float], budget: float) -> np.ndarray:
+def water_fill(gains_sq: Sequence[float], budget: float) -> tuple:
     """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget."""
-    import numpy as np
-
-    return np.array(_pour(_prepare_fill(gains_sq), budget))
+    return tuple(_pour(_prepare_fill(gains_sq), budget))
 
 
 def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:
@@ -462,7 +460,7 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
 
     Returns None when T has distinct eigenvalues (the only eigenvectors
     are the coordinate axes, which collapse one carrier) or when some
-    desired gain u_i . (H_ii v_i) vanishes.
+    desired gain u_i . (H_ii v_i) is at most DESIRED_GAIN_TOL |H_ii v_i|.
     """
     chan.ensure_parallel_valid(channel)
     if channel.n_carriers != 2:
@@ -489,8 +487,9 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
         j = min(x for x in chan.USERS if x != i)
         w = _times(d[(i, j)], v[j - 1])
         ui = _unit([-w[1], w[0]])
-        gain = _dot(ui, _times(d[(i, i)], v[i - 1]))
-        if abs(gain) <= DESIRED_GAIN_TOL:
+        desired = _times(d[(i, i)], v[i - 1])
+        gain = _dot(ui, desired)
+        if abs(gain) <= DESIRED_GAIN_TOL * math.hypot(*desired):
             return None
         if gain < 0:
             ui = [-x for x in ui]

@@ -335,10 +335,22 @@ _NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
     "import icsep; icsep.mac_bound_optimize(2.0, 10.0)",
     "from icsep import cli; "
     "sys.exit(cli.main(['alloc', '--snr-db', '10', '--bound', 'example1', '--bound', 'p2p:2']))",
-], ids=["import", "game", "sweep", "mac-bound", "alloc"])
+    "from icsep import rates; rates.water_fill([4.0, 1.0], 3.0)",
+], ids=["import", "game", "sweep", "mac-bound", "alloc", "water-fill"])
 def test_runs_without_numpy(code):
     cp = subprocess.run([sys.executable, "-c", _NO_NUMPY + code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
+
+
+def test_bound_mac_oracle_without_numpy_is_an_error():
+    # the dense-grid oracle is the one subcommand that needs numpy
+    code = ("from icsep import cli; "
+            "sys.exit(cli.main(['bound-mac', '--h', '2', '--snr-db', '10', '--oracle']))")
+    cp = subprocess.run([sys.executable, "-c", _NO_NUMPY + code], capture_output=True, text=True)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    (line,) = cp.stderr.splitlines()
+    assert line.startswith("error:") and "numpy" in line
 
 
 _CE = chan.make_counterexample()
@@ -355,7 +367,8 @@ _ONE_CARRIER_SCHEME = rates.BeamformingScheme(((1.0,),) * 3, ((1.0,),) * 3)
 
 # The as_array, link_gains-fraction, v_vec and u_vec rows pin the values of
 # accessors since deleted: the gains through effective_gains, the aligned
-# vectors as the plain-float tuples the scheme holds.
+# vectors as the plain-float tuples the scheme holds. water_fill returns a
+# tuple of floats.
 @pytest.mark.parametrize("call, want", [
     (lambda: rates.effective_gains(_WITH_FRACTION, _ONE_CARRIER_SCHEME)[0, 1:2], [1.0 / 3.0]),
     (lambda: rates.effective_gains(_WITH_FRACTION, _ONE_CARRIER_SCHEME),
@@ -364,7 +377,7 @@ _ONE_CARRIER_SCHEME = rates.BeamformingScheme(((1.0,),) * 3, ((1.0,),) * 3)
     (lambda: _CE_SCHEME.u[2], (-_R2, _R2)),
     (lambda: rates.effective_gains(_CE, _CE_SCHEME),
      [[1.0, 0.0, 0.0], [0.0, 1.0000000000000002, 0.0], [0.0, 0.0, 1.0000000000000002]]),
-    (lambda: rates.water_fill([4.0, 1.0, 0.25], 3.0), [1.875, 1.125, 0.0]),
+    (lambda: rates.water_fill([4.0, 1.0, 0.25], 3.0), (1.875, 1.125, 0.0)),
 ], ids=["link_gains-fraction", "as_array", "v_vec", "u_vec", "effective_gains", "water_fill"])
 def test_ndarray_helpers_keep_type_and_values(call, want):
     # values frozen from the implementation that computed them with numpy

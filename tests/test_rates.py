@@ -332,13 +332,13 @@ def test_allocate_rejects_empty_and_negative():
 
 def test_water_fill_asymmetric_frozen_split():
     # water level (3 + 1/4 + 1)/2 gives powers (15/8, 9/8), exactly
-    assert rates.water_fill([4.0, 1.0], 3.0).tolist() == [1.875, 1.125]
+    assert rates.water_fill([4.0, 1.0], 3.0) == (1.875, 1.125)
 
 
 def test_water_fill_budget_below_float_step_returns_zero_split():
     # 1 + 1e-300 == 1, so no level clears the floor strictly; the fill
     # still returns a valid (all-zero) split instead of failing
-    assert rates.water_fill([1.0, 1.0], 1e-300).tolist() == [0.0, 0.0]
+    assert rates.water_fill([1.0, 1.0], 1e-300) == (0.0, 0.0)
 
 
 def test_water_fill_rejects_bad_budget():
@@ -364,7 +364,7 @@ def fill_case():
 def test_water_fill_kkt_conditions(case):
     gains_sq, budget = case
     floors = 1.0 / np.array(gains_sq)
-    alloc = rates.water_fill(gains_sq, budget)
+    alloc = np.array(rates.water_fill(gains_sq, budget))
     active = alloc > 0
     assert active.any()
     levels = alloc[active] + floors[active]
@@ -385,7 +385,7 @@ def test_water_fill_is_permutation_covariant(case, rnd):
     rnd.shuffle(order)
     alloc = rates.water_fill(gains_sq, budget)
     permuted = rates.water_fill([gains_sq[k] for k in order], budget)
-    assert np.array_equal(permuted, alloc[order])
+    assert permuted == tuple(alloc[k] for k in order)
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,7 +401,7 @@ def test_water_fill_objective_matches_generic_allocator(case):
 def test_allocate_power_equal_weak_carriers():
     # concave input on which the finite-difference marginals are too
     # noisy for the multiplier bisection to land on the budget
-    assert rates.water_fill([1 / 64, 1 / 64], 0.25).tolist() == [0.125, 0.125]
+    assert rates.water_fill([1 / 64, 1 / 64], 0.25) == (0.125, 0.125)
     rates.allocate_power([half_log2(1 / 64)] * 2, 0.25)
 
 
@@ -528,6 +528,23 @@ def test_ia_aligns_where_the_alignment_map_overflows_on_both_carriers():
     g = rates.effective_gains(channel, scheme)
     assert all(g[i, j] == 0.0 for i in range(3) for j in range(3) if i != j)
     assert all(g[i, i] > 0.5 for i in range(3))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-11])
+def test_ia_aligns_on_a_uniformly_scaled_counterexample(scale):
+    # every gain times `scale` is still a valid channel, and a common
+    # scale factor changes no alignment: the desired gains shrink with it
+    channel = chan.ParallelChannel(tuple(
+        chan.SingleCarrierChannel(tuple(tuple(scale * x for x in row) for row in carrier.h))
+        for carrier in CE.carriers
+    ))
+    scheme = rates.ia_feasibility(channel)
+    assert scheme is not None
+    g = rates.effective_gains(channel, scheme)
+    assert all(g[i, j] == 0.0 for i in range(3) for j in range(3) if i != j)
+    (r,) = rates.sweep(channel, [200.0])
+    assert r.scheme_note == "ia-zf-tin equal-power"
+    assert r.joint_tin > r.tdma
 
 
 @settings(max_examples=25)
