@@ -11,6 +11,7 @@ as the fitting window moves up in SNR.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +56,10 @@ def estimate_dof(
         raise ValueError("snr_db_lo must be at least 30 dB (high-SNR regime)")
     if not snr_db_hi > snr_db_lo:
         raise ValueError("snr_db_hi must exceed snr_db_lo")
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 5:
         raise ValueError("need at least 5 grid points")
 

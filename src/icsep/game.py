@@ -7,13 +7,15 @@ best response makes the carrier singular (one degree of freedom on its
 own), which wins on any single carrier; over parallel carriers player 1
 can still win, because alignment across carriers survives per-carrier
 singularity as long as player 2 must touch different coefficients on
-different carriers.
+different carriers.  The verdict is whether that alignment exists, a
+property of gain ratios, so it does not depend on the gain scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 from . import channel as chan
@@ -22,10 +24,6 @@ from .rates import _tdma_curve, _tin_curve
 
 PLAYER1 = "player1"
 PLAYER2 = "player2"
-UNKNOWN = "unknown"
-
-#: slack on the fitted slope when declaring a winner
-WINNER_SLOPE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,12 +43,13 @@ def adversary_best_response(
     h[i][k] * h[j][j] / h[j][k], which forces the ratio collision
     h[j][k]/h[j][j] == h[i][k]/h[i][j] exactly.  The replacement is
     computed in exact rational arithmetic and stored as a Fraction, so
-    the singularity detector's exact mode fires on the result; it is a
-    quotient of nonzero gains, hence itself nonzero.
+    the singularity detector's exact mode fires on the result.  That
+    value is nonzero but may leave the range ``chan.validate`` accepts.
     """
     chan.ensure_valid(carrier)
     i, j = coeff
-    if i not in chan.USERS or j not in chan.USERS or i == j:
+    indices_are_ints = all(isinstance(x, Integral) and not isinstance(x, bool) for x in (i, j))
+    if not indices_are_ints or i not in chan.USERS or j not in chan.USERS or i == j:
         raise ValueError(
             f"coefficient position must be off-diagonal with indices in 1..3, got {coeff!r}"
         )
@@ -61,25 +60,17 @@ def adversary_best_response(
     return chan.SingleCarrierChannel(tuple(tuple(row) for row in rows))
 
 
-def _joint_rate_fn(channel: chan.ParallelChannel):
-    """Best joint-coding innerbound available: aligned TIN, else TDMA.
-
-    Prepared once per channel; ``channel`` must already be validated.
-    """
-    return _tin_curve(channel) or _tdma_curve(channel)
-
-
 def play_game(
     base: chan.ParallelChannel, adversary_coeffs: Sequence[tuple]
 ) -> GameOutcome:
     """Apply player 2's best response and judge the outcome.
 
-    One controlled off-diagonal position per carrier.  After the
-    substitutions, every carrier is singular; the joint degrees of
-    freedom are then estimated from the slope of the best joint-coding
-    innerbound (so player 1 is declared winner on an achievability
-    basis).  Slope at or below 1 + tol means player 2 won, at or above
-    3/2 - tol player 1; anything between is reported as unknown.
+    One controlled off-diagonal position per carrier; every modified
+    carrier is singular.  Player 1 wins exactly when the two-carrier
+    alignment scheme (3/2 DoF per carrier) exists on the modified
+    channel.  ``joint_dof_estimate`` is the 40-80 dB slope of the aligned
+    TIN curve, else of TDMA: reported only, it reads low on small gains.
+    Raises ValueError when a best response leaves the valid gain range.
     """
     coeffs = list(adversary_coeffs)
     if len(coeffs) != base.n_carriers:
@@ -93,12 +84,10 @@ def play_game(
             for carrier, coeff in zip(base.carriers, coeffs)
         )
     )
-    dofs = chan.per_carrier_dof(modified)
-    est = estimate_dof(_joint_rate_fn(modified))
-    if est.slope <= 1.0 + WINNER_SLOPE_TOL:
-        winner = PLAYER2
-    elif est.slope >= 1.5 - WINNER_SLOPE_TOL:
-        winner = PLAYER1
-    else:
-        winner = UNKNOWN
-    return GameOutcome(winner, modified, dofs, est.slope)
+    try:
+        dofs = chan.per_carrier_dof(modified)
+    except chan.InvalidChannelError as exc:
+        raise ValueError(f"player 2's best response is out of range ({exc})") from exc
+    aligned = _tin_curve(modified)
+    est = estimate_dof(aligned or _tdma_curve(modified))
+    return GameOutcome(PLAYER2 if aligned is None else PLAYER1, modified, dofs, est.slope)

@@ -287,6 +287,26 @@ def test_game_rejects_coeff_index_out_of_range(capsys):
     assert err.startswith("error:") and "off-diagonal" in err
 
 
+def test_game_on_a_small_gain_counterexample_player1(tmp_path, capsys):
+    # every gain times 1e-3: the 40-80 dB slope reads 0.53, but the scheme aligns
+    carriers = [[[1e-3 * x for x in row] for row in c.h] for c in chan.make_counterexample().carriers]
+    path = write_channel(tmp_path / "c.json", carriers)
+    assert cli.main(["game", "--channel", path, "--coeff", "1,2", "--coeff", "2,3"]) == 0
+    out = capsys.readouterr().out
+    assert "joint dof slope: 0.532029176" in out
+    assert "winner: player1" in out
+
+
+def test_game_best_response_out_of_range_is_an_error_not_a_traceback(tmp_path):
+    # a valid carrier whose best response at (1,2) is 1e150 * 1e150 / 1e-11 = 1e311
+    path = write_channel(tmp_path / "c.json", [[[1, 1, 1e150], [1, 1e150, 1e-11], [1, 1, 1]]])
+    cp = run_cli("game", "--channel", path, "--coeff", "1,2")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "best response" in cp.stderr
+    assert len(cp.stderr.splitlines()) == 1
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
 # ------------------------------------------------------------------- alloc
 
 def test_alloc_symmetric_bounds_split_equally():

@@ -71,6 +71,19 @@ def test_bad_window_rejected_before_any_rate_call(lo, hi, match):
     assert calls == []
 
 
+@pytest.mark.parametrize("n_points", [21.0, 21.5, "21", None])
+def test_non_integer_grid_size_rejected_before_any_rate_call(n_points):
+    calls = []
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        estimate_dof(lambda s: calls.append(s) or 1.0, 40.0, 80.0, n_points)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_points", [21, np.int64(21), np.int32(21)])
+def test_integer_grid_size_types_accepted(n_points):
+    assert estimate_dof(lambda s: 0.5 * math.log2(s), 40.0, 80.0, n_points).slope == pytest.approx(1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     slope=st.floats(-3.0, 3.0),

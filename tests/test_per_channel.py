@@ -1,15 +1,15 @@
 """The per-channel curves behind ``sweep`` and the game's DoF estimate.
 
-``sweep`` and ``game._joint_rate_fn`` prepare each channel once and then
-evaluate every SNR point with arithmetic alone; these tests hold them
-equal, bit for bit, to the per-point public functions.
+``sweep`` and ``game.play_game`` prepare each channel once (the aligned
+TIN curve, else the TDMA curve) and then evaluate every SNR point with
+arithmetic alone; these tests hold them equal, bit for bit, to the
+per-point public functions.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
-from icsep import game
 from icsep import outerbounds as ob
 from icsep import rates
 
@@ -75,7 +75,7 @@ def test_sweep_rows_equal_per_point_calls(channel, grid):
 @settings(max_examples=60, deadline=None)
 @given(two_carrier_channel, st.lists(st.floats(min_value=-20.0, max_value=90.0), min_size=1, max_size=5))
 def test_joint_rate_fn_equals_per_point_calls(channel, dbs):
-    joint = game._joint_rate_fn(channel)
+    joint = rates._tin_curve(channel) or rates._tdma_curve(channel)
     for db in dbs:
         snr = rates.db_to_linear(db)
         assert joint(snr) == per_point(channel, snr)[0]
