@@ -186,16 +186,11 @@ def _witness_scan(channel, tol, exact):
     # negated, so that a NaN fails it; at tol >= 1 any two same-sign ratios collide
     if not exact and not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r} (or pass exact=True)")
+    num, rtol = (Fraction, 0) if exact else (float, tol)
     for i, j, k in _TRIPLES:
-        if exact:
-            r1 = Fraction(channel.gain(i, j)) / Fraction(channel.gain(i, i))
-            r2 = Fraction(channel.gain(k, j)) / Fraction(channel.gain(k, i))
-            hit = r1 == r2
-        else:
-            r1 = float(channel.gain(i, j)) / float(channel.gain(i, i))
-            r2 = float(channel.gain(k, j)) / float(channel.gain(k, i))
-            hit = abs(r1 - r2) <= tol * max(abs(r1), abs(r2), 1.0)
-        if hit:
+        r1 = num(channel.gain(i, j)) / num(channel.gain(i, i))
+        r2 = num(channel.gain(k, j)) / num(channel.gain(k, i))
+        if abs(r1 - r2) <= rtol * max(abs(r1), abs(r2)):
             yield SingularityWitness(i, j, k, float(r1))
 
 
@@ -216,7 +211,8 @@ def singularity_check(
         Must be valid (all gains finite and nonzero).
     tol : float
         Relative tolerance in (0, 1): ratios r1, r2 collide when
-        ``|r1 - r2| <= tol * max(|r1|, |r2|, 1)``.
+        ``|r1 - r2| <= tol * max(|r1|, |r2|)``, a test unchanged when a
+        row or a column of ``h`` is scaled.
     exact : bool
         Compare the ratios in exact rational arithmetic instead (``tol``
         is ignored).  Meant for rationally constructed channels, e.g. the

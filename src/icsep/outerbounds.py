@@ -320,12 +320,13 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
        as many as the orbit (enumerated in tests/test_outerbounds.py),
        so the two are equal.
 
-    Signs are XORed as booleans: a product of four gains can underflow.
+    An invalid carrier raises :class:`InvalidChannelError`.
     """
+    chan.ensure_valid(carrier)
     rows = carrier._float_rows()
     mags = [abs(x) for row in rows for x in row]
     c = max(mags)
-    if c == 0 or (c - min(mags)) > MAGNITUDE_RTOL * c:
+    if c - min(mags) > MAGNITUDE_RTOL * c:
         return None
     neg = [[x < 0 for x in row] for row in rows]
     negative_pairs = sum(

@@ -15,9 +15,7 @@ scheme makes every cross gain g_ij (j != i) exactly zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -26,10 +24,10 @@ from . import channel as chan
 if TYPE_CHECKING:
     import numpy as np
 
-#: relative tolerance for "the alignment map is a multiple of identity"
+#: relative gap below which the two carriers' entries of the alignment map T agree
 ALIGNMENT_TOL = 1e-9
 
-#: a desired gain below this, relative to |H_ii v_i|, makes an alignment scheme useless
+#: a desired gain u_i . d that cancels to this fraction of its terms |u_i[m] d[m]| is lost
 DESIRED_GAIN_TOL = 1e-9
 
 #: unit-norm check tolerance for scheme vectors
@@ -442,8 +440,11 @@ def allocate_power(
 
 
 def _chain_map(h12, h31, h32, h23, h13, h21):
-    """One carrier's entry of the diagonal alignment map T (see ia_feasibility)."""
-    return (h12 * h31 / h32) * h23 / (h13 * h21)
+    """Sign parity and log2 magnitude of one carrier's T = (h12/h32)(h31/h13)(h23/h21),
+    summed over the three ratios: a ratio of two valid gains is a normal float, and T
+    itself, which can overflow or underflow, is never formed."""
+    ratios = (h12 / h32, h31 / h13, h23 / h21)
+    return sum(r < 0 for r in ratios) % 2, sum(math.log2(abs(r)) for r in ratios)
 
 
 def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]:
@@ -452,29 +453,26 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
     Solves the alignment chain v3 ~ H23^-1 H21 v1, v2 ~ H32^-1 H31 v1;
     closing the chain at receiver 1 requires v1 to be an eigenvector of
     the diagonal map T = (H13 H23^-1 H21)^-1 H12 H32^-1 H31.  When T is a
-    multiple of the identity (within a relative tolerance, judged on the
-    exact rational gains where T overflows or underflows in floats) any
+    multiple of the identity (same sign on both carriers, magnitudes
+    within a relative ALIGNMENT_TOL, compared as log2 magnitudes) any
     direction works and v1 = [1, 1]/sqrt(2) is picked; each combiner u_i
     is then the unit vector orthogonal to the aligned interference at
     receiver i, sign-fixed so the desired gain is positive.
 
     Returns None when T has distinct eigenvalues (the only eigenvectors
     are the coordinate axes, which collapse one carrier) or when some
-    desired gain u_i . (H_ii v_i) is at most DESIRED_GAIN_TOL |H_ii v_i|.
+    desired gain u_i . d, d = H_ii v_i, cancels to at most
+    DESIRED_GAIN_TOL (|u_i[0] d[0]| + |u_i[1] d[1]|).  Both tests are
+    unchanged when one carrier's or one user's gains are scaled.
     """
     chan.ensure_parallel_valid(channel)
     if channel.n_carriers != 2:
         raise ValueError("alignment feasibility is implemented for 2-carrier channels")
 
     d = {(i, j): channel._link_gains(i, j) for i in chan.USERS for j in chan.USERS}
-    per_carrier = list(zip(d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)]))
-    t = [_chain_map(*gains) for gains in per_carrier]
-    tol = ALIGNMENT_TOL
-    if not all(sys.float_info.min <= abs(x) < math.inf for x in t):
-        # the float map overflowed or lost bits: decide on the exact gains
-        t = [_chain_map(*map(Fraction, gains)) for gains in per_carrier]
-        tol = Fraction(ALIGNMENT_TOL)
-    if abs(t[0] - t[1]) > tol * max(abs(t[0]), abs(t[1])):
+    per_carrier = zip(d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)])
+    (sign0, log0), (sign1, log1) = (_chain_map(*gains) for gains in per_carrier)
+    if sign0 != sign1 or abs(log0 - log1) > math.log2(1.0 + ALIGNMENT_TOL):
         return None
 
     v1 = [1.0 / math.sqrt(2.0)] * 2
@@ -489,7 +487,7 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
         ui = _unit([-w[1], w[0]])
         desired = _times(d[(i, i)], v[i - 1])
         gain = _dot(ui, desired)
-        if abs(gain) <= DESIRED_GAIN_TOL * math.hypot(*desired):
+        if abs(gain) <= DESIRED_GAIN_TOL * sum(abs(x * y) for x, y in zip(ui, desired)):
             return None
         if gain < 0:
             ui = [-x for x in ui]

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep.game import adversary_best_response
@@ -161,6 +161,29 @@ def test_row_scaling_leaves_witness_set_unchanged(c, pos, scales):
     before = {(w.i, w.j, w.k) for w in chan.all_witnesses(singular)}
     after = {(w.i, w.j, w.k) for w in chan.all_witnesses(scaled)}
     assert before == after
+
+
+@settings(max_examples=100)
+@given(random_carrier, st.sampled_from(OFF_DIAG),
+       st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3))
+def test_column_scaling_leaves_witness_set_unchanged(c, pos, exponents):
+    """Scaling column j scales both ratios of a triple by the same factor."""
+    singular = adversary_best_response(c, pos)
+    scaled = chan.SingleCarrierChannel(
+        tuple(tuple(float(x) * 10.0**e for x, e in zip(row, exponents)) for row in singular.h)
+    )
+    assume(chan.validate(scaled).ok)
+    before = {(w.i, w.j, w.k) for w in chan.all_witnesses(singular)}
+    after = {(w.i, w.j, w.k) for w in chan.all_witnesses(scaled)}
+    assert before == after
+
+
+def test_small_ratios_do_not_collide_absolutely():
+    # r1 = 2e-9 and r2 = 1.11e-9 differ by 45%; a tolerance floored at an
+    # absolute 1e-9 reported them as the witness (1, 2, 3)
+    rows = [[1.0, 2e-9, 0.7], [0.5, 1.3, 1.1], [0.9, 1e-9, 1.7]]
+    assert exhaustive_witnesses(rows) == []
+    assert chan.singularity_check(carrier(rows)) is None
 
 
 @settings(max_examples=30)

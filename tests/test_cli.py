@@ -67,6 +67,15 @@ def test_check_rejects_a_tol_of_one_or_more(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_check_reports_no_witness_for_two_small_distinct_ratios(tmp_path, capsys):
+    # r1 = 2e-9 and r2 = 1.11e-9: printed as a witness with gamma=2e-09 and
+    # dof=1 while the ratio test had an absolute floor
+    rows = [[1.0, 2e-9, 0.7], [0.5, 1.3, 1.1], [0.9, 1e-9, 1.7]]
+    path = write_channel(tmp_path / "c.json", [rows])
+    assert cli.main(["check", "--channel", path]) == 0
+    assert capsys.readouterr().out == "carrier 1: valid; no witness; dof=unknown\n"
+
+
 def test_check_zero_gain_exits_nonzero_with_position(tmp_path):
     path = write_channel(tmp_path / "c.json", [[[1, 0, 1], [1, 1, 1], [1, 1, 2]]])
     cp = run_cli("check", "--channel", path)

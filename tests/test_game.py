@@ -181,7 +181,7 @@ def test_verdict_is_scale_free_under_uniform_scaling(c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(log_scale(-3.0, 3.0), log_scale(-3.0, 3.0))
+@given(log_scale(-9.0, 9.0), log_scale(-9.0, 9.0))
 def test_verdict_is_scale_free_under_per_carrier_scaling(c1, c2):
     assert_scale_free_verdict(c1, c2)
 

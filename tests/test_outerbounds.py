@@ -455,6 +455,17 @@ def test_nonsingular_sign_pattern_not_in_family():
     assert ob.equal_magnitude_gain(c) is None
 
 
+@pytest.mark.parametrize("rows, reason", [
+    ([[1, 1, 1], [1, math.nan, 1], [1, 1, -1]], "not a finite real number"),
+    ([[math.inf, -math.inf, math.inf]] * 3, "not a finite real number"),
+    ([[1, 1, 1], [1, 0, 1], [1, 1, -1]], "zero gain"),
+], ids=["nan", "inf", "zero"])
+def test_equal_magnitude_gain_rejects_an_invalid_carrier(rows, reason):
+    # the NaN carrier read 1.0 and the all-inf one inf before validation
+    with pytest.raises(chan.InvalidChannelError, match=reason):
+        ob.equal_magnitude_gain(carrier(rows))
+
+
 def _family_orbit() -> set:
     """Sign patterns of the counterexample carriers closed under every
     simultaneous user relabeling and every row and column sign flip."""
@@ -471,7 +482,7 @@ def _family_orbit() -> set:
     return orbit
 
 
-@pytest.mark.parametrize("c", [1, 1e-100, Fraction(3, 7)])
+@pytest.mark.parametrize("c", [1, 1e-11, Fraction(3, 7), 1e150])
 def test_family_is_the_counterexample_orbit_on_every_sign_pattern(c):
     orbit = _family_orbit()
     assert len(orbit) == 192

@@ -547,6 +547,38 @@ def test_ia_aligns_on_a_uniformly_scaled_counterexample(scale):
     assert r.joint_tin > r.tdma
 
 
+@pytest.mark.parametrize("c1, c2", [(1e-5, 1e5), (1e-9, 1e9), (1e5, 1e-5)])
+def test_ia_aligns_on_a_per_carrier_scaled_counterexample(c1, c2):
+    # the combiner that nulls the interference keeps mostly the small
+    # carrier's part, so the desired gain is tiny next to |H_ii v_i|; it
+    # is still far from cancelling against its own terms
+    channel = chan.ParallelChannel(tuple(
+        chan.SingleCarrierChannel(tuple(tuple(c * x for x in row) for row in carrier.h))
+        for carrier, c in zip(CE.carriers, (c1, c2))
+    ))
+    scheme = rates.ia_feasibility(channel)
+    assert scheme is not None
+    g = rates.effective_gains(channel, scheme)
+    # not exact zeros: the scaled gains round (8.5e-22 against 1.4e-5 at 1e-5/1e5)
+    assert all(abs(g[i, j]) <= 1e-12 * min(np.diag(g)) for i in range(3) for j in range(3)
+               if i != j)
+    (r,) = rates.sweep(channel, [60.0])
+    assert r.scheme_note == "ia-zf-tin equal-power"
+
+
+@pytest.mark.parametrize("delta, aligned", [
+    (1e-11, True), (5e-10, True), (8e-10, True), (-5e-10, True),
+    (1.2e-9, False), (2e-9, False), (1e-8, False), (-2e-9, False),
+])
+def test_ia_alignment_tol_is_a_relative_gap_in_the_map(delta, aligned):
+    # h12 of carrier 1 times 1 + delta moves T on carrier 1 by that factor
+    base = [list(row) for row in CE.carriers[0].h]
+    base[0][1] *= 1.0 + delta
+    channel = chan.ParallelChannel((chan.SingleCarrierChannel(base), CE.carriers[1]))
+    assert rates.ALIGNMENT_TOL == 1e-9
+    assert (rates.ia_feasibility(channel) is not None) == aligned
+
+
 @settings(max_examples=25)
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) > 0.2),
                 min_size=18, max_size=18))
