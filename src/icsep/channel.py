@@ -91,7 +91,7 @@ class SingleCarrierChannel:
 
     def _float_rows(self) -> tuple:
         """The gain matrix as a 3x3 tuple of Python floats."""
-        return tuple(tuple(float(x) for x in row) for row in self.h)
+        return tuple((float(a), float(b), float(c)) for a, b, c in self.h)
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,13 @@ def _witness_scan(channel, tol, exact):
     # negated, so that a NaN fails it; at tol >= 1 any two same-sign ratios collide
     if not exact and not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r} (or pass exact=True)")
-    num, rtol = (Fraction, 0) if exact else (float, tol)
+    if exact:
+        h, rtol = tuple(tuple(Fraction(x) for x in row) for row in channel.h), 0
+    else:
+        h, rtol = channel._float_rows(), tol
     for i, j, k in _TRIPLES:
-        r1 = num(channel.gain(i, j)) / num(channel.gain(i, i))
-        r2 = num(channel.gain(k, j)) / num(channel.gain(k, i))
+        r1 = h[i - 1][j - 1] / h[i - 1][i - 1]
+        r2 = h[k - 1][j - 1] / h[k - 1][i - 1]
         if abs(r1 - r2) <= rtol * max(abs(r1), abs(r2)):
             yield SingularityWitness(i, j, k, float(r1))
 

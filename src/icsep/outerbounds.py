@@ -133,6 +133,11 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
             f"needs sigma > 0 and |rho| < 1 - 1e-12 (else the noise covariance is "
             f"singular) and E[(Z1+Z~)^2] <= 1"
         )
+    return _mac_bound_value(h, snr, params)
+
+
+def _mac_bound_value(h: float, snr: float, params: GenieParams) -> float:
+    """mac_bound_eval on inputs that already passed its checks."""
     a1, sigma, rho = params.a1, params.sigma, params.rho
     t = snr / 3.0
     c = rho * sigma
@@ -220,11 +225,13 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
        s* is the global minimum (_boundary_optimum); at snr = 0 the bound
        is 0 everywhere.
 
-    A coarse feasible grid is still scanned first (deterministic order,
-    strict improvement, so ties go to the lowest lexicographic grid
-    index), and the boundary optimum replaces the best grid point only if
-    it is strictly lower; the grid stays until the benchmark's measure
-    loop (benchmarks/worker.py) can time a microsecond task.
+    A coarse grid is still scanned first, over a1 and the (sigma, rho)
+    pairs that pass GenieParams.feasible (144 of 600; feasibility does not
+    involve a1), in a deterministic order with strict improvement, so ties
+    go to the lowest lexicographic grid index.  The boundary optimum
+    replaces the best grid point only if it is strictly lower.  The grid
+    stays until the benchmark's measure loop (benchmarks/worker.py) can
+    time a microsecond task.
     """
     _check_symmetric(h, snr)
 
@@ -233,17 +240,19 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
     sigmas = _linspace(_GRID_SIGMA_MAX / _GRID_SIGMA_POINTS, _GRID_SIGMA_MAX, _GRID_SIGMA_POINTS)
     rhos = _linspace(-1.0 + 1e-6, 1.0 - 1e-6, _GRID_RHO_POINTS)
 
+    # feasibility does not involve a1
+    pairs = [
+        (sigma, rho) for sigma in sigmas for rho in rhos if GenieParams(0.0, sigma, rho).feasible()
+    ]
+
     best_val = None
     best = None
     for a1 in a1s:
-        for sigma in sigmas:
-            for rho in rhos:
-                params = GenieParams(a1, sigma, rho)
-                if not params.feasible():
-                    continue
-                val = mac_bound_eval(h, snr, params)
-                if best_val is None or val < best_val:
-                    best_val, best = val, params
+        for sigma, rho in pairs:
+            params = GenieParams(a1, sigma, rho)
+            val = _mac_bound_value(h, snr, params)
+            if best_val is None or val < best_val:
+                best_val, best = val, params
 
     val, cand = _boundary_optimum(h, snr)
     if val < best_val:
@@ -323,6 +332,11 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
     An invalid carrier raises :class:`InvalidChannelError`.
     """
     chan.ensure_valid(carrier)
+    return _equal_magnitude_gain(carrier)
+
+
+def _equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
+    """equal_magnitude_gain on a valid carrier."""
     rows = carrier._float_rows()
     mags = [abs(x) for row in rows for x in row]
     c = max(mags)
@@ -336,7 +350,8 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
 
 
 def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
-    """The squared magnitudes c_m^2 of every carrier's equal-magnitude bound.
+    """The squared magnitudes c_m^2 of every carrier's equal-magnitude bound,
+    on a channel already validated.
 
     Raises
     ------
@@ -347,7 +362,7 @@ def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
     """
     gains_sq = []
     for m, carrier in enumerate(channel.carriers, start=1):
-        c = equal_magnitude_gain(carrier)
+        c = _equal_magnitude_gain(carrier)
         if c is None:
             if chan.singularity_check(carrier) is not None:
                 detail = (

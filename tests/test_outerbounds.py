@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import outerbounds as ob
-from icsep.rates import FloatRangeError, tin_rate, BeamformingScheme
+from icsep.rates import FloatRangeError, tin_rate, BeamformingScheme, _linspace
 
 CE = chan.make_counterexample()
 
@@ -377,6 +378,68 @@ def test_mac_bound_eval_raises_where_det_a_underflows_too():
     params = ob.GenieParams(0.0, 1e-200, 0.0)
     with pytest.raises(FloatRangeError, match="floating-point range"):
         ob.mac_bound_eval(math.nextafter(1.0, 2.0), 1e-300, params)
+
+
+def full_grid_optimize(h, snr):
+    """mac_bound_optimize with the coarse grid scanned point by point: all 33 x 24 x 25
+    points through GenieParams.feasible and mac_bound_eval, then the boundary optimum
+    only if it is strictly lower."""
+    ob._check_symmetric(h, snr)
+    a1s = _linspace(-4.0 * h, 4.0 * h, 33)
+    sigmas = _linspace(2.0 / 24, 2.0, 24)
+    rhos = _linspace(-1.0 + 1e-6, 1.0 - 1e-6, 25)
+    best_val = best = None
+    for a1 in a1s:
+        for sigma in sigmas:
+            for rho in rhos:
+                params = ob.GenieParams(a1, sigma, rho)
+                if not params.feasible():
+                    continue
+                val = ob.mac_bound_eval(h, snr, params)
+                if best_val is None or val < best_val:
+                    best_val, best = val, params
+    val, cand = ob._boundary_optimum(h, snr)
+    if val < best_val:
+        best_val, best = val, cand
+    return best_val, best
+
+
+def mac_outcome(fn, h, snr):
+    """(value, a1, sigma, rho) as float hex strings, or the raised (type, message)."""
+    try:
+        value, params = fn(h, snr)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(x.hex() for x in (value, params.a1, params.sigma, params.rho))
+
+
+def optimize(h, snr):
+    result = ob.mac_bound_optimize(h, snr)
+    return result.value, result.params
+
+
+_rng = random.Random(20240613)
+# the benchmark's range: h log-uniform in [1.01, 10], snr uniform in [-20, 60] dB
+ORACLE_INPUTS = [
+    (math.exp(_rng.uniform(math.log(1.01), math.log(10.0))), 10.0 ** _rng.uniform(-2.0, 6.0))
+    for _ in range(32)
+] + [
+    (2.0, 0.0),  # snr = 0: every point ties at 0, and the grid's first point is returned
+    (1.01, 10.0),
+    (3.2e153, 0.0),
+    (3.2e153, 1e154 / 3.2e153 / 3.2e153),
+    (1e154, 1e-300),
+    (1.3e154, 0.0),
+    (1.3e154, 1e154 / 1.3e154 / 1.3e154),
+    (1e200, 1.0),  # FloatRangeError at the first feasible point
+    (0.5, 1.0),
+    (2.0, -1.0),
+]
+
+
+def test_mac_bound_optimize_is_the_full_grid_scan_bit_for_bit():
+    for h, snr in ORACLE_INPUTS:
+        assert mac_outcome(optimize, h, snr) == mac_outcome(full_grid_optimize, h, snr), (h, snr)
 
 
 @pytest.mark.parametrize("h, snr, want", [

@@ -3,13 +3,15 @@
 ``sweep`` and ``game.play_game`` prepare each channel once (the aligned
 TIN curve, else the TDMA curve) and then evaluate every SNR point with
 arithmetic alone; these tests hold them equal, bit for bit, to the
-per-point public functions.
+per-point public functions.  Each public call validates every carrier
+once; the private cores it builds on take the validated channel.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
+from icsep import game
 from icsep import outerbounds as ob
 from icsep import rates
 
@@ -101,3 +103,18 @@ def test_sweep_columns_invariant_under_carrier_swap(channel, grid):
             if a is not None:
                 assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
+
+
+@pytest.mark.parametrize("call, validations", [
+    (lambda: rates.sweep(CE, [float(db) for db in range(61)]), 2),
+    (lambda: ob.separate_outerbound(CE, 10.0), 2),
+    (lambda: rates.ia_feasibility(CE), 2),
+    # two best responses, then one singularity check per modified carrier
+    (lambda: game.play_game(CE, ((1, 2), (2, 3))), 4),
+], ids=["sweep", "separate_outerbound", "ia_feasibility", "play_game"])
+def test_each_public_call_validates_each_carrier_once(monkeypatch, call, validations):
+    seen = []
+    validate = chan.validate
+    monkeypatch.setattr(chan, "validate", lambda carrier: seen.append(carrier) or validate(carrier))
+    call()
+    assert len(seen) == validations
