@@ -180,12 +180,16 @@ def ensure_parallel_valid(channel: ParallelChannel) -> None:
         ensure_valid(carrier)
 
 
-def _witness_scan(channel, tol, exact):
-    """Yield every triple passing the ratio test, in lexicographic order."""
-    ensure_valid(channel)
+def _check_tol(tol: float) -> None:
+    """Reject a ratio-test tolerance outside (0, 1)."""
     # negated, so that a NaN fails it; at tol >= 1 any two same-sign ratios collide
-    if not exact and not 0.0 < tol < 1.0:
+    if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r} (or pass exact=True)")
+
+
+def _witness_scan(channel, tol=SINGULARITY_TOL, exact=False):
+    """Yield every triple passing the ratio test, in lexicographic order,
+    on a valid carrier with a checked ``tol``."""
     if exact:
         h, rtol = tuple(tuple(Fraction(x) for x in row) for row in channel.h), 0
     else:
@@ -225,6 +229,9 @@ def singularity_check(
     -------
     SingularityWitness or None
     """
+    ensure_valid(channel)
+    if not exact:
+        _check_tol(tol)
     return next(_witness_scan(channel, tol, exact), None)
 
 
@@ -234,6 +241,9 @@ def all_witnesses(
     exact: bool = False,
 ) -> tuple:
     """All triples passing the ratio test, in lexicographic order."""
+    ensure_valid(channel)
+    if not exact:
+        _check_tol(tol)
     return tuple(_witness_scan(channel, tol, exact))
 
 

@@ -62,6 +62,7 @@ def _parse_coeff(text: str) -> tuple:
 
 
 def cmd_check(args) -> int:
+    chan._check_tol(args.tol)
     channel = _resolve_channel(args)
     status = 0
     for m, carrier in enumerate(channel.carriers, start=1):
@@ -71,7 +72,7 @@ def cmd_check(args) -> int:
                 print(f"carrier {m}: invalid at ({i},{j}): {msg}")
             status = 2
             continue
-        witness = chan.singularity_check(carrier, tol=args.tol)
+        witness = next(chan._witness_scan(carrier, args.tol), None)
         if witness is None:
             print(f"carrier {m}: valid; no witness; dof=unknown")
         else:

@@ -43,7 +43,8 @@ MAX_ORACLE_SLICE_POINTS = 4_000_000
 
 
 class InfeasibleGenieParamsError(ValueError):
-    """Genie parameters violate the noise constraint or make K_z singular."""
+    """Genie parameters fail GenieParams.feasible: a non-finite a1, a
+    violated noise constraint or a singular K_z."""
 
 
 class NoSeparateBoundError(ValueError):
@@ -70,13 +71,15 @@ class GenieParams:
         return 1.0 + square + 2.0 * self.rho * self.sigma
 
     def feasible(self) -> bool:
-        """sigma > 0, |rho| < 1 - 1e-12 (K_z nonsingular) and E[(Z1+Z~)^2] <= 1.
+        """a1 finite, sigma > 0, |rho| < 1 - 1e-12 (K_z nonsingular) and
+        E[(Z1+Z~)^2] <= 1.
 
         The one admissibility rule: mac_bound_eval accepts exactly these
         params.  Negated NaN comparisons are False, so a NaN field fails.
         """
         return (
-            self.sigma > 0
+            math.isfinite(self.a1)
+            and self.sigma > 0
             and abs(self.rho) < 1.0 - 1e-12
             and self.noise_enhancement() <= 1.0 + CONSTRAINT_TOL
         )
@@ -124,14 +127,21 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     Builds the 2x3 effective MAC matrix H = [[1, h, h], [a1, 1-h, 0]] and
     returns (1/2)log2 det(K_z + (snr/3) H H^T) / det(K_z), the sum
     capacity of the two-antenna MAC halved into real-channel units.
+
+    Raises
+    ------
+    InfeasibleGenieParamsError
+        If ``params.feasible()`` is False, and only then.
+    FloatRangeError
+        If the arithmetic at feasible params leaves the float range.
     """
     _check_symmetric(h, snr)
     if not params.feasible():
         raise InfeasibleGenieParamsError(
-            f"genie params sigma={params.sigma:.6g}, rho={params.rho:.6g} with "
-            f"E[(Z1+Z~)^2] = {params.noise_enhancement():.6g} are infeasible: the bound "
-            f"needs sigma > 0 and |rho| < 1 - 1e-12 (else the noise covariance is "
-            f"singular) and E[(Z1+Z~)^2] <= 1"
+            f"genie params a1={params.a1:.6g}, sigma={params.sigma:.6g}, rho={params.rho:.6g} "
+            f"with E[(Z1+Z~)^2] = {params.noise_enhancement():.6g} are infeasible: the bound "
+            f"needs a finite a1, sigma > 0 and |rho| < 1 - 1e-12 (else the noise covariance "
+            f"is singular) and E[(Z1+Z~)^2] <= 1"
         )
     return _mac_bound_value(h, snr, params)
 
@@ -161,15 +171,16 @@ def _mac_bound_value(h: float, snr: float, params: GenieParams) -> float:
             log_det_k = 2.0 * math.log2(sigma) + math.log2((1.0 - rho) * (1.0 + rho))
             value = 0.5 * (math.log2(det_a) - log_det_k)
     except (OverflowError, ValueError):
-        raise FloatRangeError(
-            f"the genie MAC bound at h={h!r}, snr={snr!r} with {params} "
-            f"is beyond the floating-point range"
-        ) from None
+        value = math.nan
     if value > 0.0:
         return value
-    if value != value:
-        raise InfeasibleGenieParamsError(f"the bound is NaN at a1={a1!r}")
-    return 0.0
+    if value == value:
+        return 0.0
+    # NaN: the arithmetic left the float range, by a raise above or an inf - inf
+    raise FloatRangeError(
+        f"the genie MAC bound at h={h!r}, snr={snr!r} with {params} "
+        f"is beyond the floating-point range"
+    )
 
 
 def _boundary_params(h: float, snr: float, sigma: float) -> GenieParams:
@@ -364,7 +375,7 @@ def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
     for m, carrier in enumerate(channel.carriers, start=1):
         c = _equal_magnitude_gain(carrier)
         if c is None:
-            if chan.singularity_check(carrier) is not None:
+            if any(chan._witness_scan(carrier)):
                 detail = (
                     "is singular (1 degree of freedom) but no finite-SNR "
                     "constant is available for it"

@@ -67,6 +67,21 @@ def test_check_rejects_a_tol_of_one_or_more(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["2", "nan"])
+@pytest.mark.parametrize("carriers", [
+    [[[1, 0, 1], [1, 1, 1], [1, 1, 2]]],
+    [[[1, 0, 1], [1, 1, 1], [1, 1, 2]], [[1, 2, 3], [4, 5, 6], [7, 8, 10]]],
+], ids=["all-invalid", "mixed"])
+def test_check_rejects_a_bad_tol_before_reporting_any_carrier(tmp_path, capsys, carriers, tol):
+    # the parent printed the invalid carrier's line first, and on the
+    # all-invalid channel never reported the tol at all
+    path = write_channel(tmp_path / "c.json", carriers)
+    assert cli.main(["check", "--channel", path, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0].startswith("error: tol must lie in (0, 1)")
+
+
 def test_check_reports_no_witness_for_two_small_distinct_ratios(tmp_path, capsys):
     # r1 = 2e-9 and r2 = 1.11e-9: printed as a witness with gamma=2e-09 and
     # dof=1 while the ratio test had an absolute floor

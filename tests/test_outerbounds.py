@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import outerbounds as ob
@@ -152,7 +152,10 @@ def _sigma_rho(draw):
 
 
 @settings(max_examples=300)
-@given(st.floats(-10.0, 10.0), _sigma_rho())
+@given(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]), _sigma_rho())
+# the parent called an infinite a1 feasible, and mac_bound_eval rejected it
+@example(math.inf, (1.0, -0.5))
+@example(-math.inf, (1.0, -0.5))
 def test_feasible_is_exactly_what_mac_bound_eval_accepts(a1, sigma_rho):
     params = ob.GenieParams(a1, *sigma_rho)
     rejected = False
@@ -161,8 +164,18 @@ def test_feasible_is_exactly_what_mac_bound_eval_accepts(a1, sigma_rho):
     except ob.InfeasibleGenieParamsError:
         rejected = True
     except FloatRangeError:
-        pass  # admissible, but det K_z underflows for a tiny sigma
+        pass  # admissible, but the arithmetic leaves the float range
     assert params.feasible() is not rejected
+
+
+@pytest.mark.parametrize("a1, snr", [(1.7e308, 10.0), (1e157, 1e153)])
+def test_feasible_a1_past_the_float_range_is_a_float_range_error(a1, snr):
+    # a1^2 and t (a1 + h(1 - h)) overflow, so det_a is inf - inf; the parent
+    # raised InfeasibleGenieParamsError on params feasible() accepts
+    params = ob.GenieParams(a1, 1.0, -0.5)
+    assert params.feasible()
+    with pytest.raises(FloatRangeError, match="floating-point range"):
+        ob.mac_bound_eval(2.0, snr, params)
 
 
 def test_mac_bound_eval_nondecreasing_in_snr():

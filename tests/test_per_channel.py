@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsep import channel as chan
-from icsep import game
+from icsep import cli, game
 from icsep import outerbounds as ob
 from icsep import rates
 
@@ -105,13 +105,33 @@ def test_sweep_columns_invariant_under_carrier_swap(channel, grid):
 
 
 
+# no carrier is in the equal-magnitude family or singular
+GENERIC = chan.ParallelChannel((
+    chan.SingleCarrierChannel(((1.0, 0.3, 0.7), (0.5, 1.3, 1.1), (0.9, 0.2, 1.7))),
+    chan.SingleCarrierChannel(((1.2, 0.4, 0.6), (0.8, 0.9, 1.5), (0.35, 1.1, 0.75))),
+))
+
+
+def separate_or_none(channel):
+    try:
+        return ob.separate_outerbound(channel, 10.0)
+    except ob.NoSeparateBoundError:
+        return None
+
+
 @pytest.mark.parametrize("call, validations", [
     (lambda: rates.sweep(CE, [float(db) for db in range(61)]), 2),
     (lambda: ob.separate_outerbound(CE, 10.0), 2),
     (lambda: rates.ia_feasibility(CE), 2),
     # two best responses, then one singularity check per modified carrier
     (lambda: game.play_game(CE, ((1, 2), (2, 3))), 4),
-], ids=["sweep", "separate_outerbound", "ia_feasibility", "play_game"])
+    (lambda: rates.sweep(GENERIC, [float(db) for db in range(61)]), 2),
+    (lambda: separate_or_none(GENERIC), 2),
+    (lambda: cli.main(["check", "--builtin", "counterexample"]), 2),
+], ids=[
+    "sweep", "separate_outerbound", "ia_feasibility", "play_game",
+    "sweep-generic", "separate_outerbound-generic", "cli-check",
+])
 def test_each_public_call_validates_each_carrier_once(monkeypatch, call, validations):
     seen = []
     validate = chan.validate
