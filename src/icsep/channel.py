@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from numbers import Integral, Rational, Real
 from typing import Optional
 
 USERS = (1, 2, 3)
@@ -62,19 +63,45 @@ def _as_row(row, where):
         raise ChannelFormatError(f"{where}: expected a row of 3 numbers")
     out = []
     for c, x in enumerate(row):
-        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+        if isinstance(x, bool) or not isinstance(x, Real):
             raise ChannelFormatError(f"{where}[{c}]: expected a number, got {type(x).__name__}")
-        out.append(x)
+        out.append(int(x) if isinstance(x, Integral) else float(x) if not isinstance(x, Rational)
+                   else Fraction(int(x.numerator), int(x.denominator)))
     return tuple(out)
+
+
+def _as_float(x) -> float:
+    """float(x), or inf where x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _gain_issues(rows: tuple) -> tuple:
+    """(i, j, message) for each gain of a float view that validate rejects."""
+    issues = []
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if not math.isfinite(x):
+                issues.append((i, j, "not a finite real number"))
+            elif abs(x) <= ZERO_TOL:
+                issues.append((i, j, "zero gain"))
+            elif not math.isfinite(x * x):
+                issues.append((i, j, "gain too large: its square overflows"))
+    return tuple(issues)
 
 
 @dataclass(frozen=True)
 class SingleCarrierChannel:
     """One carrier of the 3-user interference channel.
 
-    ``h`` is stored as a 3x3 tuple of real numbers (int, float or Fraction;
-    Fractions let exact-arithmetic constructions survive unrounded).
-    Row index = receiver, column index = transmitter.
+    ``h`` is stored as a 3x3 tuple of int, Fraction (any other rational, so
+    exact-arithmetic constructions survive unrounded) or float (any other
+    real, such as a numpy float).  Row index = receiver, column index
+    = transmitter.  Building never rejects a bad gain: the float view
+    ``_floats`` (inf beyond the float range) and the ``_issues`` that
+    :func:`validate` reports are computed once, here.
     """
 
     h: tuple
@@ -84,14 +111,12 @@ class SingleCarrierChannel:
             raise ChannelFormatError("h: expected 3 rows of 3 numbers")
         rows = tuple(_as_row(r, f"h[{i}]") for i, r in enumerate(self.h))
         object.__setattr__(self, "h", rows)
+        object.__setattr__(self, "_floats", tuple(tuple(_as_float(x) for x in r) for r in rows))
+        object.__setattr__(self, "_issues", _gain_issues(self._floats))
 
     def gain(self, i: int, j: int):
         """Gain from transmitter j to receiver i (1-based indices)."""
         return self.h[i - 1][j - 1]
-
-    def _float_rows(self) -> tuple:
-        """The gain matrix as a 3x3 tuple of Python floats."""
-        return tuple((float(a), float(b), float(c)) for a, b, c in self.h)
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,7 @@ class ParallelChannel:
 
     def _link_gains(self, i: int, j: int) -> list:
         """Per-carrier gains of the transmitter-j to receiver-i link, as Python floats."""
-        return [float(c.gain(i, j)) for c in self.carriers]
+        return [c._floats[i - 1][j - 1] for c in self.carriers]
 
 
 @dataclass(frozen=True)
@@ -141,9 +166,9 @@ class ValidationResult:
 
 
 def validate(channel: SingleCarrierChannel) -> ValidationResult:
-    """Check that all nine gains are finite, above ZERO_TOL in magnitude,
+    """Whether all nine gains are finite, above ZERO_TOL in magnitude,
     and small enough that their squares are finite too (every rate
-    squares the gains).
+    squares the gains), as checked once when the carrier was built.
 
     Returns
     -------
@@ -151,28 +176,13 @@ def validate(channel: SingleCarrierChannel) -> ValidationResult:
         ``ok`` is True iff every entry passes; each failing entry is
         reported with its 1-based (receiver, transmitter) index.
     """
-    issues = []
-    for i in USERS:
-        for j in USERS:
-            try:
-                x = float(channel.gain(i, j))
-            except (OverflowError, TypeError, ValueError):
-                issues.append((i, j, "not a finite real number"))
-                continue
-            if not math.isfinite(x):
-                issues.append((i, j, "not a finite real number"))
-            elif abs(x) <= ZERO_TOL:
-                issues.append((i, j, "zero gain"))
-            elif not math.isfinite(x * x):
-                issues.append((i, j, "gain too large: its square overflows"))
-    return ValidationResult(ok=not issues, issues=tuple(issues))
+    return ValidationResult(ok=not channel._issues, issues=channel._issues)
 
 
 def ensure_valid(channel: SingleCarrierChannel) -> None:
     """Raise :class:`InvalidChannelError` unless ``channel`` validates."""
-    result = validate(channel)
-    if not result.ok:
-        raise InvalidChannelError(result.issues)
+    if channel._issues:
+        raise InvalidChannelError(channel._issues)
 
 
 def ensure_parallel_valid(channel: ParallelChannel) -> None:
@@ -184,7 +194,7 @@ def _check_tol(tol: float) -> None:
     """Reject a ratio-test tolerance outside (0, 1)."""
     # negated, so that a NaN fails it; at tol >= 1 any two same-sign ratios collide
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r} (or pass exact=True)")
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
 
 
 def _witness_scan(channel, tol=SINGULARITY_TOL, exact=False):
@@ -193,7 +203,7 @@ def _witness_scan(channel, tol=SINGULARITY_TOL, exact=False):
     if exact:
         h, rtol = tuple(tuple(Fraction(x) for x in row) for row in channel.h), 0
     else:
-        h, rtol = channel._float_rows(), tol
+        h, rtol = channel._floats, tol
     for i, j, k in _TRIPLES:
         r1 = h[i - 1][j - 1] / h[i - 1][i - 1]
         r2 = h[k - 1][j - 1] / h[k - 1][i - 1]
@@ -267,8 +277,7 @@ def per_carrier_dof(channel: ParallelChannel) -> tuple:
 
     Returns 1 for carriers where the singularity detector fires.  For
     generic carriers no value is established by this library, so ``None``
-    (unknown) is reported rather than a guess.  Each singularity_check
-    validates its own carrier, so an invalid carrier raises
+    (unknown) is reported rather than a guess.  An invalid carrier raises
     :class:`InvalidChannelError`.
     """
     return tuple(

@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
                 print(f"carrier {m}: invalid at ({i},{j}): {msg}")
             status = 2
             continue
-        witness = next(chan._witness_scan(carrier, args.tol), None)
+        witness = chan.singularity_check(carrier, args.tol)
         if witness is None:
             print(f"carrier {m}: valid; no witness; dof=unknown")
         else:

@@ -343,12 +343,7 @@ def equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
     An invalid carrier raises :class:`InvalidChannelError`.
     """
     chan.ensure_valid(carrier)
-    return _equal_magnitude_gain(carrier)
-
-
-def _equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]:
-    """equal_magnitude_gain on a valid carrier."""
-    rows = carrier._float_rows()
+    rows = carrier._floats
     mags = [abs(x) for row in rows for x in row]
     c = max(mags)
     if c - min(mags) > MAGNITUDE_RTOL * c:
@@ -361,8 +356,7 @@ def _equal_magnitude_gain(carrier: chan.SingleCarrierChannel) -> Optional[float]
 
 
 def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
-    """The squared magnitudes c_m^2 of every carrier's equal-magnitude bound,
-    on a channel already validated.
+    """The squared magnitudes c_m^2 of every carrier's equal-magnitude bound.
 
     Raises
     ------
@@ -373,9 +367,9 @@ def _separate_gains_sq(channel: chan.ParallelChannel) -> list:
     """
     gains_sq = []
     for m, carrier in enumerate(channel.carriers, start=1):
-        c = _equal_magnitude_gain(carrier)
+        c = equal_magnitude_gain(carrier)
         if c is None:
-            if any(chan._witness_scan(carrier)):
+            if chan.singularity_check(carrier) is not None:
                 detail = (
                     "is singular (1 degree of freedom) but no finite-SNR "
                     "constant is available for it"

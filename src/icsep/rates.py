@@ -331,15 +331,14 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
 
 
 def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:
-    """snr -> the best user's TDMA sum rate, on a channel already validated."""
+    """snr -> the best user's TDMA sum rate."""
     fills = [_direct_fill(channel, i) for i in chan.USERS]
     return lambda snr: max(_fill_rate(fill, snr) for fill in fills)
 
 
 def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], float]]:
-    """snr -> the aligned scheme's equal-power TIN sum rate, or None without alignment,
-    on a channel already validated."""
-    scheme = _ia_scheme(channel) if channel.n_carriers == 2 else None
+    """snr -> the aligned scheme's equal-power TIN sum rate, or None without alignment."""
+    scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None
     if scheme is None:
         return None
     gains_sq = _squared(_effective_gains(channel, scheme))
@@ -468,13 +467,7 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
     chan.ensure_parallel_valid(channel)
     if channel.n_carriers != 2:
         raise ValueError("alignment feasibility is implemented for 2-carrier channels")
-    return _ia_scheme(channel)
-
-
-def _ia_scheme(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]:
-    """ia_feasibility on a valid two-carrier channel."""
-    rows = [carrier._float_rows() for carrier in channel.carriers]
-    d = {(i, j): [h[i - 1][j - 1] for h in rows] for i in chan.USERS for j in chan.USERS}
+    d = {(i, j): channel._link_gains(i, j) for i in chan.USERS for j in chan.USERS}
     per_carrier = zip(d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)])
     (sign0, log0), (sign1, log1) = (_chain_map(*gains) for gains in per_carrier)
     if sign0 != sign1 or abs(log0 - log1) > math.log2(1.0 + ALIGNMENT_TOL):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 from fractions import Fraction
 from itertools import permutations
 
@@ -267,6 +268,37 @@ def test_parse_reports_bad_row_with_context():
 def test_parse_reports_non_number_entry():
     with pytest.raises(chan.ChannelFormatError, match=r"h\[1\]\[2\]"):
         chan.parse_channel({"carriers": [{"h": [[1, 1, 1], [1, 1, "x"], [1, 1, 1]]}]})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+def test_numpy_scalar_gains_are_stored_as_python_numbers(dtype):
+    # int64 and float32 are numbers.Real without being int or float
+    arr = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]], dtype=dtype)
+    c = chan.SingleCarrierChannel(tuple(tuple(r) for r in arr))
+    assert c == chan.SingleCarrierChannel(arr.tolist())
+    assert {type(x) for row in c.h for x in row} <= {int, float}
+    assert chan.all_witnesses(c, exact=True) == ()
+    modified = adversary_best_response(c, (1, 2))
+    assert chan.singularity_check(modified, exact=True) is not None
+
+
+class _Ratio:
+    """A numbers.Rational that is not a Fraction (as sympy's or gmpy2's rationals are)."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_Ratio)
+
+
+def test_other_rational_gains_stay_exact():
+    rows = [[1, Fraction(1, 3), 2], [Fraction(2, 7), 1, 3], [Fraction(3, 7), Fraction(1, 7), 1]]
+    c = carrier([[_Ratio(x.numerator, x.denominator) for x in map(Fraction, row)] for row in rows])
+    exact = carrier(rows)
+    assert c == exact
+    assert {type(x) for row in c.h for x in row} <= {int, Fraction}
+    assert chan.all_witnesses(c, exact=True) == chan.all_witnesses(exact, exact=True)
 
 
 def test_load_reports_syntax_error_position(tmp_path):

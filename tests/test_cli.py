@@ -80,6 +80,8 @@ def test_check_rejects_a_bad_tol_before_reporting_any_carrier(tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[0].startswith("error: tol must lie in (0, 1)")
+    # the CLI has no exact mode to point at
+    assert "exact" not in err
 
 
 def test_check_reports_no_witness_for_two_small_distinct_ratios(tmp_path, capsys):
