@@ -28,17 +28,22 @@ from itertools import permutations
 from numbers import Integral, Rational, Real
 from typing import Optional
 
-USERS = (1, 2, 3)
-
 #: entries with absolute value at or below this are rejected as zero gains
 ZERO_TOL = 1e-12
 
 #: default relative tolerance of the singularity ratio test
 SINGULARITY_TOL = 1e-9
 
+USERS = (1, 2, 3)
+
 # all ordered triples of pairwise-distinct users, in lexicographic order;
 # the detector scans them in this order so ties resolve deterministically
 _TRIPLES = tuple(sorted(permutations(USERS)))
+
+
+def is_user(i) -> bool:
+    """Whether ``i`` is a 1-based user index: an int or numpy int in USERS, not a float or any bool."""
+    return i in USERS and hasattr(i, "__index__") and type(i).__name__ not in ("bool", "bool_")
 
 
 class ChannelError(ValueError):
@@ -115,7 +120,9 @@ class SingleCarrierChannel:
         object.__setattr__(self, "_issues", _gain_issues(self._floats))
 
     def gain(self, i: int, j: int):
-        """Gain from transmitter j to receiver i (1-based indices)."""
+        """Gain from transmitter j to receiver i; ValueError unless both pass :func:`is_user`."""
+        if not (is_user(i) and is_user(j)):
+            raise ValueError(f"user indices must be integers in 1..3, got ({i!r}, {j!r})")
         return self.h[i - 1][j - 1]
 
 

@@ -24,7 +24,7 @@ import sys
 from . import channel as chan
 from . import game as game_mod
 from .outerbounds import mac_bound_grid_min, mac_bound_optimize
-from .rates import _half_log2_1p, db_to_linear, sweep, water_fill
+from .rates import _half_log2_1p, _prepare_fill, db_to_linear, sweep, water_fill
 
 CSV_HEADER = "snr_db,joint_tin,separate_outer,tdma,scheme_note"
 
@@ -154,11 +154,11 @@ def _parse_bound(text: str) -> float:
     if text == "example1":
         return 1.0
     if text.startswith("p2p:"):
-        gain = float(text[4:])
-        g_sq = gain * gain
-        if not (math.isfinite(g_sq) and g_sq > 0):
-            raise ValueError("p2p bound needs a nonzero gain whose square is a finite float")
-        return g_sq
+        try:
+            gain = float(text[4:])
+            return _prepare_fill([gain * gain]).gains_sq[0]  # the water-fill's own gain rule
+        except ValueError as exc:
+            raise ValueError(f"--bound {text}: {exc}") from None
     raise ValueError(f"unknown bound spec {text!r} (use 'example1' or 'p2p:<gain>')")
 
 

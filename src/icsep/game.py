@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import Sequence
 
 from . import channel as chan
@@ -39,19 +38,21 @@ def adversary_best_response(
 ) -> chan.SingleCarrierChannel:
     """Overwrite one off-diagonal coefficient so the carrier turns singular.
 
-    For position (i, j) with third user k the new value is
-    h[i][k] * h[j][j] / h[j][k], which forces the ratio collision
-    h[j][k]/h[j][j] == h[i][k]/h[i][j] exactly.  The replacement is
-    computed in exact rational arithmetic and stored as a Fraction, so
-    the singularity detector's exact mode fires on the result.  That
-    value is nonzero but may leave the range ``chan.validate`` accepts.
+    ``coeff`` must be a pair (i, j) of distinct user indices (``chan.is_user``), else
+    ValueError.  With third user k the new value is h[i][k] * h[j][j] / h[j][k], which
+    forces the ratio collision h[j][k]/h[j][j] == h[i][k]/h[i][j] exactly.  The
+    replacement is computed in exact rational arithmetic and stored as a Fraction, so the
+    singularity detector's exact mode fires on the result.  That value is nonzero but may
+    leave the range ``chan.validate`` accepts.
     """
     chan.ensure_valid(carrier)
-    i, j = coeff
-    indices_are_ints = all(isinstance(x, Integral) and not isinstance(x, bool) for x in (i, j))
-    if not indices_are_ints or i not in chan.USERS or j not in chan.USERS or i == j:
+    try:
+        i, j = coeff
+    except (TypeError, ValueError):  # not a pair
+        i = j = None
+    if i == j or not (chan.is_user(i) and chan.is_user(j)):
         raise ValueError(
-            f"coefficient position must be off-diagonal with indices in 1..3, got {coeff!r}"
+            f"coefficient position must be an off-diagonal pair with indices in 1..3, got {coeff!r}"
         )
     k = next(x for x in chan.USERS if x not in (i, j))
     new = Fraction(carrier.gain(i, k)) * Fraction(carrier.gain(j, j)) / Fraction(carrier.gain(j, k))

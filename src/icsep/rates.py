@@ -72,8 +72,10 @@ def _linspace(start: float, stop: float, num: int) -> list:
 class BeamformingScheme:
     """Per-user transmit directions, receive combiners and powers.
 
-    ``v[j]`` and ``u[i]`` are unit vectors of length M (one entry per
-    carrier); ``p[j]`` is user j's transmit power in linear units.
+    ``v[j]`` and ``u[i]`` are unit vectors of one length M (one entry per carrier);
+    ``p[j]`` is user j's transmit power in linear units.  Building a scheme (also by
+    :meth:`with_powers` or ``replace``) raises ValueError unless there are three of each,
+    every norm is 1 within UNIT_NORM_TOL and every power is finite and nonnegative.
     """
 
     v: tuple
@@ -86,9 +88,19 @@ class BeamformingScheme:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if len(self.v) != 3 or len(self.u) != 3 or len(self.p) != 3:
             raise ValueError("a scheme needs 3 transmit vectors, 3 combiners and 3 powers")
+        m = len(self.v[0])
+        for name, vecs in (("v", self.v), ("u", self.u)):
+            for idx, vec in enumerate(vecs, start=1):
+                if len(vec) != m:
+                    raise ValueError(f"scheme {name}[{idx}] has length {len(vec)}, v[1] has {m}")
+                norm = math.sqrt(_dot(vec, vec))
+                if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # negated, so that a NaN fails it
+                    raise ValueError(f"scheme {name}[{idx}] is not unit norm (|v| = {norm:.6g})")
+        for j, x in enumerate(self.p, start=1):
+            _check_power(x, f"power p[{j}]")
 
     def with_powers(self, p) -> "BeamformingScheme":
-        return replace(self, p=tuple(float(x) for x in p))
+        return replace(self, p=p)
 
     def with_equal_power(self, total_snr: float) -> "BeamformingScheme":
         """Split a total power budget equally across the three users."""
@@ -122,21 +134,6 @@ class SweepResult:
     scheme_note: str
 
 
-def _check_scheme(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> None:
-    m = channel.n_carriers
-    for name, vecs in (("v", scheme.v), ("u", scheme.u)):
-        for idx, vec in enumerate(vecs, start=1):
-            if len(vec) != m:
-                raise ValueError(
-                    f"scheme {name}[{idx}] has length {len(vec)}, channel has {m} carriers"
-                )
-            norm = math.sqrt(_dot(vec, vec))
-            if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # negated, so that a NaN fails it
-                raise ValueError(f"scheme {name}[{idx}] is not unit norm (|v| = {norm:.6g})")
-    for j, p in enumerate(scheme.p, start=1):
-        _check_power(p, f"power p[{j}]")
-
-
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Sum of a_m b_m, added strictly left to right.
 
@@ -167,6 +164,8 @@ def _unit(w: Sequence[float]) -> list:
 
 def _effective_gains(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> list:
     """The projected link gains g_ij = u_i . (H_ij v_j), as nested Python floats."""
+    if (m := len(scheme.v[0])) != channel.n_carriers:  # zip would drop the extra entries
+        raise ValueError(f"scheme vectors have length {m}, channel has {channel.n_carriers} carriers")
     return [
         [
             _dot(scheme.u[i - 1], _times(channel._link_gains(i, j), scheme.v[j - 1]))
@@ -242,11 +241,9 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
     Raises
     ------
     ValueError
-        On a carrier-count mismatch between scheme and channel, or a
-        scheme violating its unit-norm/nonnegative-power invariants.
+        Unless the scheme's vectors have one entry per carrier.
     """
     chan.ensure_parallel_valid(channel)
-    _check_scheme(channel, scheme)
     rates = _tin_rates(_squared(_effective_gains(channel, scheme)), scheme.p, channel.n_carriers)
     return RateReport(rates, sum(rates), sum(scheme.p))
 
@@ -323,8 +320,8 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
     link with per-carrier gains h_m[i][i].
     """
     chan.ensure_parallel_valid(channel)
-    if active_user not in chan.USERS:
-        raise ValueError(f"active_user must be in {chan.USERS}")
+    if not chan.is_user(active_user):
+        raise ValueError(f"active_user must be an integer in 1..3, got {active_user!r}")
     rate = _fill_rate(_direct_fill(channel, active_user), snr)
     per_user = tuple(rate if i == active_user else 0.0 for i in chan.USERS)
     return RateReport(per_user, rate, snr)
@@ -491,7 +488,7 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
             ui = [-x for x in ui]
         u.append(ui)
 
-    return BeamformingScheme(tuple(tuple(x) for x in v), tuple(tuple(x) for x in u))
+    return BeamformingScheme(v, u)
 
 
 def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:

@@ -255,6 +255,21 @@ def test_parse_and_load_roundtrip(tmp_path):
     assert loaded.carriers[0].gain(3, 3) == -2
 
 
+# a bool or a float equal to a user index is not one, and 0 or -1 must not wrap round to 3 or 2
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, np.float64(1), 0, -1, 4],
+                         ids=["bool", "numpy-bool", "float", "numpy-float", "zero", "minus-one", "four"])
+def test_gain_rejects_non_user_indices(index):
+    c = chan.make_counterexample().carriers[0]
+    for i, j in ((index, 2), (2, index)):
+        with pytest.raises(ValueError, match="user indices"):
+            c.gain(i, j)
+
+
+def test_gain_accepts_numpy_int_indices():
+    c = chan.make_counterexample().carriers[0]
+    assert c.gain(np.int64(3), np.int32(3)) == c.gain(3, 3) == -1
+
+
 def test_parse_rejects_missing_carriers():
     with pytest.raises(chan.ChannelFormatError, match="carriers"):
         chan.parse_channel({"h": [[1, 1, 1]] * 3})

@@ -362,6 +362,13 @@ def test_alloc_rejects_non_finite_gain():
     assert cp.stderr.startswith("error:") and "p2p" in cp.stderr
 
 
+def test_alloc_names_the_bound_the_water_fill_rejects(capsys):
+    # 1e-160 squares to 1e-320, finite and positive, but its reciprocal overflows
+    assert cli.main(["alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:1e-160"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p2p:1e-160" in err and "reciprocal" in err
+
+
 def test_alloc_rejects_unknown_bound():
     cp = run_cli("alloc", "--snr-db", "10", "--bound", "mystery")
     assert cp.returncode != 0

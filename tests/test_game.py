@@ -59,9 +59,10 @@ def test_best_response_rejects_diagonal_position():
         game.adversary_best_response(CE.carriers[0], (2, 2))
 
 
-@pytest.mark.parametrize("pos", [(True, 2), (1, True), (1, 2.0), (1.0, 2), (np.float64(1), 2)])
+@pytest.mark.parametrize("pos", [(True, 2), (1, True), (1, 2.0), (1.0, 2), (np.float64(1), 2),
+                                 (np.True_, 2), 12, (1, 2, 3)])
 def test_best_response_rejects_non_int_indices(pos):
-    # equal to a valid index, but a bool or float is not a position
+    # equal to a valid index, but a bool or float is not a position, and neither is a non-pair
     with pytest.raises(ValueError, match="off-diagonal"):
         game.adversary_best_response(CE.carriers[0], pos)
 
@@ -127,6 +128,11 @@ def test_player2_wins_when_same_coefficient_controls_all_carriers():
 def test_play_game_requires_one_coeff_per_carrier():
     with pytest.raises(ValueError, match="per carrier"):
         game.play_game(CE, [(1, 2)])
+
+
+def test_play_game_rejects_positions_that_are_not_pairs():
+    with pytest.raises(ValueError, match="off-diagonal"):
+        game.play_game(CE, [12, 21])
 
 
 @pytest.mark.parametrize("rows, reason", [

@@ -77,16 +77,19 @@ def test_tin_rejects_dimension_mismatch():
     single = chan.ParallelChannel((CE.carriers[0],))
     with pytest.raises(ValueError, match="carriers"):
         rates.tin_rate(single, spec_scheme(1.0))
+    # effective_gains shares the check: it zipped the scheme down to one carrier
+    with pytest.raises(ValueError, match="carriers"):
+        rates.effective_gains(single, spec_scheme(1.0))
 
 
 def test_tin_rejects_non_unit_vectors():
-    bad = rates.BeamformingScheme(
-        v=((1.0, 1.0),) * 3,
-        u=((INV_SQRT2, -INV_SQRT2),) * 3,
-        p=(1.0, 1.0, 1.0),
-    )
+    # the scheme rejects itself when it is built, before any rate is asked of it
     with pytest.raises(ValueError, match="unit norm"):
-        rates.tin_rate(CE, bad)
+        rates.BeamformingScheme(
+            v=((1.0, 1.0),) * 3,
+            u=((INV_SQRT2, -INV_SQRT2),) * 3,
+            p=(1.0, 1.0, 1.0),
+        )
 
 
 # NaN compares False with everything, so the norm check must be negated
@@ -103,6 +106,14 @@ def test_scheme_needs_three_of_each():
         rates.BeamformingScheme(v=((1.0,),) * 2, u=((1.0,),) * 3)
 
 
+@pytest.mark.parametrize("field", ["v", "u"])
+def test_scheme_rejects_vectors_of_unequal_length_when_built(field):
+    scheme = spec_scheme()
+    fields = {"v": scheme.v, "u": scheme.u, field: ((1.0,),) + getattr(scheme, field)[1:]}
+    with pytest.raises(ValueError, match="has length"):
+        rates.BeamformingScheme(**fields)
+
+
 def test_tin_rejects_negative_power():
     with pytest.raises(ValueError, match="power"):
         rates.tin_rate(CE, spec_scheme().with_powers((1.0, -1.0, 1.0)))
@@ -111,9 +122,19 @@ def test_tin_rejects_negative_power():
 # NaN and inf compare False with 0, so the check must be a negated comparison
 @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_tin_rejects_non_finite_or_negative_power(p):
-    scheme = rates.ia_feasibility(CE).with_powers((p, 1.0, 1.0))
+    scheme = rates.ia_feasibility(CE)
     with pytest.raises(ValueError, match="nonnegative"):
-        rates.tin_rate(CE, scheme)
+        scheme.with_powers((p, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda s, p: rates.BeamformingScheme(s.v, s.u, p),
+    lambda s, p: replace(s, p=p),
+], ids=["constructor", "replace"])
+def test_scheme_rejects_a_nan_power_on_the_other_build_paths(build):
+    # with_powers is test_tin_rejects_non_finite_or_negative_power[nan]
+    with pytest.raises(ValueError, match="nonnegative"):
+        build(rates.ia_feasibility(CE), (math.nan, 1, 1))
 
 
 @settings(max_examples=25)
@@ -176,8 +197,15 @@ def test_tdma_matches_grid_oracle_on_random_gains():
 
 
 def test_tdma_rejects_bad_user():
-    with pytest.raises(ValueError, match="active_user"):
-        rates.tdma_rate(CE, 4, 1.0)
+    # a bool or a float equal to a user index is not one, and 0 or -1 must not wrap round
+    for user in (4, True, np.True_, 1.0, np.float64(1), 0, -1):
+        with pytest.raises(ValueError, match="active_user"):
+            rates.tdma_rate(CE, user, 1.0)
+
+
+def test_tdma_accepts_numpy_int_users():
+    for user in (np.int64(2), np.int32(2)):
+        assert rates.tdma_rate(CE, user, 10.0) == rates.tdma_rate(CE, 2, 10.0)
 
 
 def test_tdma_and_sweep_reject_gain_whose_square_overflows():
