@@ -219,9 +219,7 @@ def _witness_scan(channel, tol=SINGULARITY_TOL, exact=False):
 
 
 def singularity_check(
-    channel: SingleCarrierChannel,
-    tol: float = SINGULARITY_TOL,
-    exact: bool = False,
+    channel: SingleCarrierChannel, tol: float = SINGULARITY_TOL
 ) -> Optional[SingularityWitness]:
     """Search for a ratio collision h[i][j]/h[i][i] == h[k][j]/h[k][i].
 
@@ -237,31 +235,25 @@ def singularity_check(
         Relative tolerance in (0, 1): ratios r1, r2 collide when
         ``|r1 - r2| <= tol * max(|r1|, |r2|)``, a test unchanged when a
         row or a column of ``h`` is scaled.
-    exact : bool
-        Compare the ratios in exact rational arithmetic instead (``tol``
-        is ignored).  Meant for rationally constructed channels, e.g. the
-        output of the adversary's best response.
 
     Returns
     -------
     SingularityWitness or None
     """
     ensure_valid(channel)
-    if not exact:
-        _check_tol(tol)
-    return next(_witness_scan(channel, tol, exact), None)
+    _check_tol(tol)
+    return next(_witness_scan(channel, tol), None)
 
 
-def all_witnesses(
-    channel: SingleCarrierChannel,
-    tol: float = SINGULARITY_TOL,
-    exact: bool = False,
-) -> tuple:
-    """All triples passing the ratio test, in lexicographic order."""
+def all_witnesses(channel: SingleCarrierChannel, exact: bool = False) -> tuple:
+    """All triples passing the ratio test, in lexicographic order.
+
+    The test is :func:`singularity_check`'s at SINGULARITY_TOL, or with
+    ``exact`` a comparison in exact rational arithmetic, meant for
+    rationally constructed channels such as the adversary's best response.
+    """
     ensure_valid(channel)
-    if not exact:
-        _check_tol(tol)
-    return tuple(_witness_scan(channel, tol, exact))
+    return tuple(_witness_scan(channel, exact=exact))
 
 
 def make_counterexample() -> ParallelChannel:

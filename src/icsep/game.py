@@ -41,8 +41,8 @@ def adversary_best_response(
     ``coeff`` must be a pair (i, j) of distinct user indices (``chan.is_user``), else
     ValueError.  With third user k the new value is h[i][k] * h[j][j] / h[j][k], which
     forces the ratio collision h[j][k]/h[j][j] == h[i][k]/h[i][j] exactly.  The
-    replacement is computed in exact rational arithmetic and stored as a Fraction, so the
-    singularity detector's exact mode fires on the result.  That value is nonzero but may
+    replacement is computed in exact rational arithmetic and stored as a Fraction, so
+    ``chan.all_witnesses(result, exact=True)`` is nonempty.  That value is nonzero but may
     leave the range ``chan.validate`` accepts.
     """
     chan.ensure_valid(carrier)

@@ -83,11 +83,16 @@ class BeamformingScheme:
     p: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(tuple(float(x) for x in vec) for vec in self.v))
-        object.__setattr__(self, "u", tuple(tuple(float(x) for x in vec) for vec in self.u))
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        if len(self.v) != 3 or len(self.u) != 3 or len(self.p) != 3:
+        try:
+            v, u = (tuple(tuple(float(x) for x in vec) for vec in vecs) for vecs in (self.v, self.u))
+            p = tuple(float(x) for x in self.p)
+        except TypeError:  # e.g. a bare number where a vector or the power triple belongs
+            v = u = p = ()
+        if len(v) != 3 or len(u) != 3 or len(p) != 3:
             raise ValueError("a scheme needs 3 transmit vectors, 3 combiners and 3 powers")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "p", p)
         m = len(self.v[0])
         for name, vecs in (("v", self.v), ("u", self.u)):
             for idx, vec in enumerate(vecs, start=1):
@@ -335,7 +340,7 @@ def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:
 
 def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], float]]:
     """snr -> the aligned scheme's equal-power TIN sum rate, or None without alignment."""
-    scheme = ia_feasibility(channel) if channel.n_carriers == 2 else None
+    scheme = ia_feasibility(channel)
     if scheme is None:
         return None
     gains_sq = _squared(_effective_gains(channel, scheme))
@@ -444,7 +449,7 @@ def _chain_map(h12, h31, h32, h23, h13, h21):
 
 
 def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]:
-    """Try to align all interference on a two-carrier channel.
+    """Try to align all interference across the carriers.
 
     Solves the alignment chain v3 ~ H23^-1 H21 v1, v2 ~ H32^-1 H31 v1;
     closing the chain at receiver 1 requires v1 to be an eigenvector of
@@ -455,15 +460,16 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
     is then the unit vector orthogonal to the aligned interference at
     receiver i, sign-fixed so the desired gain is positive.
 
-    Returns None when T has distinct eigenvalues (the only eigenvectors
-    are the coordinate axes, which collapse one carrier) or when some
-    desired gain u_i . d, d = H_ii v_i, cancels to at most
-    DESIRED_GAIN_TOL (|u_i[0] d[0]| + |u_i[1] d[1]|).  Both tests are
-    unchanged when one carrier's or one user's gains are scaled.
+    Returns None off two carriers (no construction is implemented there
+    yet), when T has distinct eigenvalues (the only eigenvectors are the
+    coordinate axes, which collapse one carrier) or when some desired gain
+    u_i . d, d = H_ii v_i, cancels to at most DESIRED_GAIN_TOL
+    (|u_i[0] d[0]| + |u_i[1] d[1]|); these two gain tests are unchanged
+    when one carrier's or one user's gains are scaled.
     """
     chan.ensure_parallel_valid(channel)
     if channel.n_carriers != 2:
-        raise ValueError("alignment feasibility is implemented for 2-carrier channels")
+        return None
     d = {(i, j): channel._link_gains(i, j) for i in chan.USERS for j in chan.USERS}
     per_carrier = zip(d[(1, 2)], d[(3, 1)], d[(3, 2)], d[(2, 3)], d[(1, 3)], d[(2, 1)])
     (sign0, log0), (sign1, log1) = (_chain_map(*gains) for gains in per_carrier)

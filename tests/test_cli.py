@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ def run_cli(*args):
 def run_pkg_main(*args):
     cmd = [sys.executable, "-m", "icsep", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
+
+
+THREE_CARRIERS = str(Path(__file__).with_name("three_carriers.json"))
 
 
 def write_channel(path, carriers):
@@ -452,6 +456,13 @@ def test_ndarray_helpers_keep_type_and_values(call, want):
      "803324ef1e365422bc855c83b344b78bc9a82d35fcb0d59981c48748fbd1ee5d"),
     (["bound-mac", "--h", "2", "--snr-db", "0", "--snr-db", "10", "--snr-db", "20", "--oracle"],
      "9a951ba708f858d56901626d5bd96470acedd158aaa3b4263b3681a981a356ee"),
+    # three carriers, where no alignment is implemented: every sweep row is
+    # "tdma-fallback no-ia no-separate-bound" and the game prints "winner: player2"
+    (["sweep", "--channel", THREE_CARRIERS,
+      "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "30"],
+     "5259b9646b0d381660bd8119b2c11a4c8225fcf9c707773e1c42fccb55520c68"),
+    (["game", "--channel", THREE_CARRIERS, "--coeff", "1,2"],
+     "8ebbdd4fbb5b5dc6a32cde4d6d74ac87d92e879845474a5b6271500490f06d04"),
 ])
 def test_golden_output(capsys, argv, digest):
     # frozen stdout digests: a changed printed digit shows up here

@@ -101,9 +101,17 @@ def test_tin_rejects_nan_vectors(field):
         rates.tin_rate(CE, replace(scheme, **{field: vecs}))
 
 
-def test_scheme_needs_three_of_each():
+@pytest.mark.parametrize("build", [
+    lambda: rates.BeamformingScheme(v=((1.0,),) * 2, u=((1.0,),) * 3),
+    lambda: rates.BeamformingScheme(v=(1.0, 1.0, 1.0), u=((1.0,),) * 3),
+    lambda: rates.BeamformingScheme(v=((1.0,),) * 3, u=(1.0, 1.0, 1.0)),
+    lambda: rates.BeamformingScheme(v=((1.0,),) * 3, u=((1.0,),) * 3, p=None),
+    lambda: rates.BeamformingScheme(v=((1.0,),) * 3, u=((1.0,),) * 3, p=5.0),
+    lambda: rates.ia_feasibility(CE).with_powers(5.0),
+], ids=["two-vectors", "bare-float-v", "bare-float-u", "p-none", "p-float", "with-powers-float"])
+def test_scheme_needs_three_of_each(build):
     with pytest.raises(ValueError, match="a scheme needs 3 transmit vectors"):
-        rates.BeamformingScheme(v=((1.0,),) * 2, u=((1.0,),) * 3)
+        build()
 
 
 @pytest.mark.parametrize("field", ["v", "u"])
@@ -515,8 +523,9 @@ def test_ia_identity_cross_gains_with_sign_diagonals():
 
 
 def test_ia_requires_two_carriers():
-    with pytest.raises(ValueError, match="2-carrier"):
-        rates.ia_feasibility(chan.ParallelChannel((CE.carriers[0],)))
+    # no construction is implemented off two carriers, so none aligns there
+    assert rates.ia_feasibility(chan.ParallelChannel((CE.carriers[0],))) is None
+    assert rates.ia_feasibility(chan.ParallelChannel(CE.carriers + CE.carriers[:1])) is None
 
 
 def two_carriers(h1, h2):
