@@ -46,11 +46,7 @@ def is_user(i) -> bool:
     return i in USERS and hasattr(i, "__index__") and type(i).__name__ not in ("bool", "bool_")
 
 
-class ChannelError(ValueError):
-    """Base class for channel construction/validation problems."""
-
-
-class InvalidChannelError(ChannelError):
+class InvalidChannelError(ValueError):
     """Raised when an operation requires a valid channel and gets an invalid one."""
 
     def __init__(self, issues):
@@ -59,7 +55,7 @@ class InvalidChannelError(ChannelError):
         super().__init__(f"invalid channel: {parts}")
 
 
-class ChannelFormatError(ChannelError):
+class ChannelFormatError(ValueError):
     """Raised when a channel file/document does not match the expected schema."""
 
 

@@ -20,11 +20,9 @@ from .rates import _linspace, db_to_linear
 
 @dataclass(frozen=True)
 class DofEstimate:
-    """Fitted slope (the DoF estimate), fit quality, and the dB window used."""
+    """Least-squares slope of a rate curve against (1/2)log2(SNR): the DoF estimate."""
 
     slope: float
-    r_squared: float
-    snr_db_range: tuple
 
 
 def estimate_dof(
@@ -75,7 +73,4 @@ def estimate_dof(
     xm = [v - x_mean for v in x]
     ym = [v - y_mean for v in y]
     slope = math.fsum(a * b for a, b in zip(xm, ym)) / math.fsum(a * a for a in xm)
-    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(xm, ym))
-    ss_tot = math.fsum(b * b for b in ym)
-    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return DofEstimate(slope, r_squared, (float(snr_db_lo), float(snr_db_hi)))
+    return DofEstimate(slope)

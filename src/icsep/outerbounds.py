@@ -91,7 +91,6 @@ class MacBoundResult:
 
     value: float
     params: GenieParams
-    h: float
 
 
 # coarse feasible grid that seeds the genie MAC search: a1 in [-4h, 4h],
@@ -269,7 +268,7 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
     if val < best_val:
         best_val, best = val, cand
 
-    return MacBoundResult(best_val, best, h)
+    return MacBoundResult(best_val, best)
 
 
 def mac_bound_grid_min(h: float, snr: float, step: float = 0.01) -> float:
@@ -287,8 +286,8 @@ def mac_bound_grid_min(h: float, snr: float, step: float = 0.01) -> float:
         (a1, rho) points, checked before anything is allocated.
     """
     _check_symmetric(h, snr)
-    if not step > 0.0:
-        raise ValueError(f"the grid step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"the grid step must be positive and finite, got {step!r}")
     box = 4.0 * h
     # a1 has 2 box/step + 1 points and rho fewer than 2/step
     points = (2.0 * box / step + 1.0) * (2.0 / step)

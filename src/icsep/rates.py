@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import channel as chan
@@ -114,11 +113,10 @@ class BeamformingScheme:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user and sum rates (bits per real use per carrier) at total power ``snr``."""
+    """Per-user and sum rates, in bits per real use per carrier."""
 
     per_user_rate: tuple
     sum_rate: float
-    snr: float
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
     """
     chan.ensure_parallel_valid(channel)
     rates = _tin_rates(_squared(_effective_gains(channel, scheme)), scheme.p, channel.n_carriers)
-    return RateReport(rates, sum(rates), sum(scheme.p))
+    return RateReport(rates, sum(rates))
 
 
 class _Fill(NamedTuple):
@@ -259,11 +257,10 @@ class _Fill(NamedTuple):
     gains_sq: list
     floors: list
     ordered: list
-    prefix: list
 
 
 def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
-    """Floors 1/g_m, the floors sorted, and their running sums.
+    """Floors 1/g_m and the floors sorted.
 
     Raises
     ------
@@ -280,20 +277,22 @@ def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
             )
     floors = [1.0 / g for g in gains_sq]
     ordered = sorted(floors)
-    return _Fill(gains_sq, floors, ordered, list(accumulate(ordered)))
+    return _Fill(gains_sq, floors, ordered)
 
 
 def _pour(fill: _Fill, budget: float) -> list:
     """Exact water-filling of one budget over a prepared gain vector.
 
-    The level over the k lowest floors is (budget + their sum)/k; the
-    largest k whose level is at or above its own k-th floor (k = 1 always
-    is) sets p_m = max(0, level - 1/g_m).
+    The level over the k lowest floors is (budget + their running sum)/k;
+    the largest k whose level is at or above its own k-th floor (k = 1
+    always is) sets p_m = max(0, level - 1/g_m).
     """
     _check_power(budget, "power budget")
     if budget == 0:
         return [0.0] * len(fill.floors)
-    for k, (floor, total) in enumerate(zip(fill.ordered, fill.prefix), start=1):
+    total = 0.0
+    for k, floor in enumerate(fill.ordered, start=1):
+        total += floor
         candidate = (budget + total) / k
         if candidate >= floor:
             level = candidate
@@ -329,7 +328,7 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
         raise ValueError(f"active_user must be an integer in 1..3, got {active_user!r}")
     rate = _fill_rate(_direct_fill(channel, active_user), snr)
     per_user = tuple(rate if i == active_user else 0.0 for i in chan.USERS)
-    return RateReport(per_user, rate, snr)
+    return RateReport(per_user, rate)
 
 
 def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:

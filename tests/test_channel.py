@@ -271,8 +271,23 @@ def test_gain_accepts_numpy_int_indices():
 
 
 def test_parse_rejects_missing_carriers():
-    with pytest.raises(chan.ChannelFormatError, match="carriers"):
-        chan.parse_channel({"h": [[1, 1, 1]] * 3})
+    for doc in (
+        {"h": [[1, 1, 1]] * 3},
+        {"carriers": []},
+        {"carriers": [{"g": [[1, 1, 1]] * 3}]},
+        {"carriers": [{"h": [[1, 1, 1]] * 2}]},
+    ):
+        with pytest.raises(chan.ChannelFormatError, match="carriers"):
+            chan.parse_channel(doc)
+
+
+@pytest.mark.parametrize("carriers, match", [
+    ((), "at least one carrier"),
+    ((chan.make_counterexample(),), r"carriers\[0\]: expected a SingleCarrierChannel"),
+], ids=["empty", "not-a-carrier"])
+def test_parallel_channel_rejects_a_malformed_carrier_list(carriers, match):
+    with pytest.raises(chan.ChannelFormatError, match=match):
+        chan.ParallelChannel(carriers)
 
 
 def test_parse_reports_bad_row_with_context():

@@ -329,7 +329,7 @@ def test_mac_bound_grid_min_rejects_an_oversized_grid_before_allocating(h, step)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("step", [0.0, -0.01, math.nan])
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
 def test_mac_bound_grid_min_rejects_a_non_positive_step(step):
     with pytest.raises(ValueError, match="step must be positive"):
         ob.mac_bound_grid_min(2.0, 1.0, step)
