@@ -24,12 +24,10 @@ import sys
 from . import channel as chan
 from . import game as game_mod
 from .outerbounds import mac_bound_grid_min, mac_bound_optimize
-from .rates import _half_log2_1p, _prepare_fill, db_to_linear, sweep, water_fill
+from .rates import MAX_SNR_POINTS, _half_log2_1p, _prepare_fill, db_to_linear, sweep
+from .rates import water_fill
 
 CSV_HEADER = "snr_db,joint_tin,separate_outer,tdma,scheme_note"
-
-#: most SNR points one ``sweep`` command may request
-MAX_SNR_POINTS = 100_000
 
 
 def _fmt(x) -> str:
@@ -142,8 +140,7 @@ def cmd_game(args) -> int:
             " ".join(_fmt(carrier.gain(i, j)) for j in chan.USERS) for i in chan.USERS
         )
         print(f"carrier {m}: {rows}")
-    dofs = " ".join("1" if d == 1 else "unknown" for d in outcome.per_carrier_dof)
-    print(f"per-carrier dof: {dofs}")
+    print("per-carrier dof:", *outcome.per_carrier_dof)
     print(f"joint dof slope: {_fmt(outcome.joint_dof_estimate)}")
     print(f"winner: {outcome.winner}")
     return 0

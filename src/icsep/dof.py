@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .rates import _linspace, db_to_linear
+from .rates import MAX_SNR_POINTS, _linspace, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def estimate_dof(
         Fitting window in dB; must satisfy snr_db_hi > snr_db_lo >= 30
         so the window sits in the high-SNR regime.
     n_points : int
-        Grid size, at least 5.
+        Grid size, from 5 to MAX_SNR_POINTS.
 
     Raises
     ------
@@ -58,8 +58,8 @@ def estimate_dof(
         n_points = operator.index(n_points)
     except TypeError:
         raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
-    if n_points < 5:
-        raise ValueError("need at least 5 grid points")
+    if not 5 <= n_points <= MAX_SNR_POINTS:
+        raise ValueError(f"n_points must lie in 5..{MAX_SNR_POINTS}, got {n_points}")
 
     dbs = _linspace(snr_db_lo, snr_db_hi, n_points)
     snrs = [db_to_linear(db) for db in dbs]

@@ -66,11 +66,13 @@ def play_game(
 ) -> GameOutcome:
     """Apply player 2's best response and judge the outcome.
 
-    One controlled off-diagonal position per carrier; every modified
-    carrier is singular.  Player 1 wins exactly when the two-carrier
-    alignment scheme (3/2 DoF per carrier) exists on the modified
-    channel.  ``joint_dof_estimate`` is the 40-80 dB slope of the aligned
-    TIN curve, else of TDMA: reported only, it reads low on small gains.
+    One controlled off-diagonal position per carrier.  Every modified
+    carrier is singular exactly, so each ``per_carrier_dof`` is 1 without
+    the float detector, which agrees: on a valid carrier the two collided
+    ratios are normal floats a few ulps apart.  Player 1 wins exactly when
+    the two-carrier alignment scheme (3/2 DoF per carrier) exists on the
+    modified channel.  ``joint_dof_estimate`` is the 40-80 dB slope of the
+    aligned TIN curve, else of TDMA: reported only, it reads low on small gains.
     Raises ValueError when a best response leaves the valid gain range.
     """
     coeffs = list(adversary_coeffs)
@@ -86,9 +88,10 @@ def play_game(
         )
     )
     try:
-        dofs = chan.per_carrier_dof(modified)
+        chan.ensure_parallel_valid(modified)
     except chan.InvalidChannelError as exc:
         raise ValueError(f"player 2's best response is out of range ({exc})") from exc
     aligned = _tin_curve(modified)
     est = estimate_dof(aligned or _tdma_curve(modified))
-    return GameOutcome(PLAYER2 if aligned is None else PLAYER1, modified, dofs, est.slope)
+    winner = PLAYER2 if aligned is None else PLAYER1
+    return GameOutcome(winner, modified, (1,) * modified.n_carriers, est.slope)

@@ -93,13 +93,14 @@ class MacBoundResult:
     params: GenieParams
 
 
-# coarse feasible grid that seeds the genie MAC search: a1 in [-4h, 4h],
-# sigma in (0, 2], rho in (-1, 1)
-_GRID_A1_BOX_FACTOR = 4.0
-_GRID_SIGMA_MAX = 2.0
-_GRID_A1_POINTS = 33
-_GRID_SIGMA_POINTS = 24
-_GRID_RHO_POINTS = 25
+# the coarse grid's (sigma, rho) pairs, sigma in (0, 2] and rho in (-1, 1), that pass
+# GenieParams.feasible (144 of 600), in scan order; feasibility ignores a1, h and snr
+_GRID_PAIRS = tuple(
+    (sigma, rho)
+    for sigma in _linspace(2.0 / 24, 2.0, 24)
+    for rho in _linspace(-1.0 + 1e-6, 1.0 - 1e-6, 25)
+    if GenieParams(0.0, sigma, rho).feasible()
+)
 
 
 def _check_symmetric(h: float, snr: float) -> None:
@@ -126,6 +127,7 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
     Builds the 2x3 effective MAC matrix H = [[1, h, h], [a1, 1-h, 0]] and
     returns (1/2)log2 det(K_z + (snr/3) H H^T) / det(K_z), the sum
     capacity of the two-antenna MAC halved into real-channel units.
+    ``snr`` is the total power of the one carrier, snr/3 per user.
 
     Raises
     ------
@@ -235,30 +237,19 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
        s* is the global minimum (_boundary_optimum); at snr = 0 the bound
        is 0 everywhere.
 
-    A coarse grid is still scanned first, over a1 and the (sigma, rho)
-    pairs that pass GenieParams.feasible (144 of 600; feasibility does not
-    involve a1), in a deterministic order with strict improvement, so ties
-    go to the lowest lexicographic grid index.  The boundary optimum
+    A coarse grid over 33 values of a1 in [-4h, 4h] x _GRID_PAIRS is still
+    scanned first, in a deterministic order with strict improvement, so
+    ties go to the lowest lexicographic grid index.  The boundary optimum
     replaces the best grid point only if it is strictly lower.  The grid
     stays until the benchmark's measure loop (benchmarks/worker.py) can
     time a microsecond task.
     """
     _check_symmetric(h, snr)
 
-    box = _GRID_A1_BOX_FACTOR * h
-    a1s = _linspace(-box, box, _GRID_A1_POINTS)
-    sigmas = _linspace(_GRID_SIGMA_MAX / _GRID_SIGMA_POINTS, _GRID_SIGMA_MAX, _GRID_SIGMA_POINTS)
-    rhos = _linspace(-1.0 + 1e-6, 1.0 - 1e-6, _GRID_RHO_POINTS)
-
-    # feasibility does not involve a1
-    pairs = [
-        (sigma, rho) for sigma in sigmas for rho in rhos if GenieParams(0.0, sigma, rho).feasible()
-    ]
-
     best_val = None
     best = None
-    for a1 in a1s:
-        for sigma, rho in pairs:
+    for a1 in _linspace(-4.0 * h, 4.0 * h, 33):
+        for sigma, rho in _GRID_PAIRS:
             params = GenieParams(a1, sigma, rho)
             val = _mac_bound_value(h, snr, params)
             if best_val is None or val < best_val:
@@ -386,8 +377,8 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
     Each carrier must admit a finite-SNR bound known to this library
     (the equal-magnitude family, bound (1/2)log2(1 + c_m^2 SNR_m)); the
     per-carrier bounds are then combined through the optimal power
-    allocation, exact water-filling over the gains c_m^2:
-    (1/M) max sum_m bound_m(SNR_m) over sum_m SNR_m <= snr.
+    allocation, exact water-filling of the total ``snr`` over the gains
+    c_m^2: (1/M) max sum_m bound_m(SNR_m) over sum_m SNR_m <= snr.
 
     Raises
     ------

@@ -3,6 +3,11 @@
 Rates are in bits per real channel use, normalized per carrier (a factor
 1/M in front of every sum over carriers) and use the real-channel form
 (1/2)log2(1 + SINR).  Powers are linear; ``db_to_linear`` converts from dB.
+``snr`` is the total transmit power, summed over users and carriers,
+relative to unit noise: equal-power TIN gives each user snr/3, spread
+over the carriers by its unit vector; TDMA gives all of snr to one user,
+water-filled over the carriers; the separate bound water-fills snr over
+the carriers; the symmetric MAC bound is one carrier with snr/3 per user.
 
 The joint-coding inner bound here is linear beamforming across carriers
 with interference treated as noise: each transmitter j sends along a unit
@@ -31,6 +36,9 @@ DESIRED_GAIN_TOL = 1e-9
 
 #: unit-norm check tolerance for scheme vectors
 UNIT_NORM_TOL = 1e-6
+
+#: most points of one generated SNR grid: a CLI ``sweep`` or an ``estimate_dof`` fit
+MAX_SNR_POINTS = 100_000
 
 _ALLOC_OUTER_ITERS = 200
 _ALLOC_INNER_ITERS = 60
@@ -107,7 +115,7 @@ class BeamformingScheme:
         return replace(self, p=p)
 
     def with_equal_power(self, total_snr: float) -> "BeamformingScheme":
-        """Split a total power budget equally across the three users."""
+        """Give each user total_snr/3, spread over the carriers by its unit vector v_j."""
         return self.with_powers((total_snr / 3.0,) * 3)
 
 
@@ -319,9 +327,9 @@ def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:
 def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> RateReport:
     """Best single-user rate: water-fill the whole budget over the carriers.
 
-    Only ``active_user`` (1-based) transmits; everyone else is silent, so
-    there is no interference and the problem is a parallel point-to-point
-    link with per-carrier gains h_m[i][i].
+    Only ``active_user`` (1-based) transmits, with all of ``snr``;
+    everyone else is silent, so there is no interference and the problem
+    is a parallel point-to-point link with per-carrier gains h_m[i][i].
     """
     chan.ensure_parallel_valid(channel)
     if not chan.is_user(active_user):

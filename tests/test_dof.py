@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsep.dof import estimate_dof
+from icsep.rates import MAX_SNR_POINTS
 
 
 def test_exact_affine_input_recovers_slope():
@@ -67,6 +68,19 @@ def test_bad_window_rejected_before_any_rate_call(lo, hi, match):
     with pytest.raises(ValueError, match=match):
         estimate_dof(lambda s: calls.append(s) or 1.0, lo, hi, 21)
     assert calls == []
+
+
+def test_oversized_grid_rejected_before_any_rate_call():
+    # the fit shares the CLI sweep's bound; no grid is built past it
+    calls = []
+    with pytest.raises(ValueError, match="5"):
+        estimate_dof(lambda s: calls.append(s) or 1.0, 40.0, 80.0, MAX_SNR_POINTS + 1)
+    assert calls == []
+
+
+def test_largest_grid_is_accepted():
+    est = estimate_dof(lambda s: 0.5 * math.log2(s), 40.0, 80.0, MAX_SNR_POINTS)
+    assert est.slope == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n_points", [21.0, 21.5, "21", None])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import game
@@ -82,6 +82,27 @@ def test_best_response_always_creates_exact_witness(c, pos):
     # the forced collision reads h[j][k]/h[j][j] == h[i][k]/h[i][j]
     assert (j, k, i) in witnesses
     assert chan.singularity_check(modified) is not None  # default tolerance too
+
+
+signed_wide_gain = st.builds(
+    lambda e, sign: sign * 10.0**e,
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.sampled_from((-1.0, 1.0)),
+)
+wide_carrier = st.builds(
+    lambda flat: carrier([flat[0:3], flat[3:6], flat[6:9]]),
+    st.lists(signed_wide_gain, min_size=9, max_size=9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_carrier, st.sampled_from(OFF_DIAG))
+def test_float_detector_confirms_every_valid_best_response(c, pos):
+    # play_game reports DoF 1 per modified carrier without running the detector;
+    # the float detector is the independent check of that constant
+    modified = game.adversary_best_response(c, pos)
+    assume(chan.validate(modified).ok)
+    assert chan.per_carrier_dof(chan.ParallelChannel((modified,))) == (1,)
 
 
 @settings(max_examples=50)
@@ -219,5 +240,6 @@ def test_reported_slope_matches_the_verdict_on_the_benchmark_range(seed):
     # with a small effective gain can read far lower
     for channel, coeffs in benchmark_like_pool(random.Random(seed), 100):
         outcome = game.play_game(channel, coeffs)
+        assert outcome.per_carrier_dof == chan.per_carrier_dof(outcome.modified_channel)
         dof = 1.5 if outcome.winner == game.PLAYER1 else 1.0
         assert abs(outcome.joint_dof_estimate - dof) <= 1e-3, (channel, coeffs, outcome)
