@@ -40,6 +40,9 @@ USERS = (1, 2, 3)
 # the detector scans them in this order so ties resolve deterministically
 _TRIPLES = tuple(sorted(permutations(USERS)))
 
+# a gain is stored as one of these exact types; an entry of one is kept as it is
+_STORED_TYPES = frozenset((int, float, Fraction))
+
 
 def is_user(i) -> bool:
     """Whether ``i`` is a 1-based user index: an int or numpy int in USERS, not a float or any bool."""
@@ -64,10 +67,12 @@ def _as_row(row, where):
         raise ChannelFormatError(f"{where}: expected a row of 3 numbers")
     out = []
     for c, x in enumerate(row):
-        if isinstance(x, bool) or not isinstance(x, Real):
-            raise ChannelFormatError(f"{where}[{c}]: expected a number, got {type(x).__name__}")
-        out.append(int(x) if isinstance(x, Integral) else float(x) if not isinstance(x, Rational)
-                   else Fraction(int(x.numerator), int(x.denominator)))
+        if type(x) not in _STORED_TYPES:
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ChannelFormatError(f"{where}[{c}]: expected a number, got {type(x).__name__}")
+            x = (int(x) if isinstance(x, Integral) else float(x) if not isinstance(x, Rational)
+                 else Fraction(int(x.numerator), int(x.denominator)))
+        out.append(x)
     return tuple(out)
 
 

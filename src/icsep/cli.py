@@ -164,8 +164,8 @@ def cmd_alloc(args) -> int:
     total = db_to_linear(args.snr_db)
     alloc = water_fill(gains_sq, total)
     objective = 0.0
-    rates = _half_log2_1p(gains_sq, alloc)
-    for m, (name, p, rate) in enumerate(zip(args.bound, alloc, rates), start=1):
+    for m, (name, g, p) in enumerate(zip(args.bound, gains_sq, alloc), start=1):
+        rate = _half_log2_1p(g, p)
         objective += rate
         print(f"carrier {m} ({name}): snr={_fmt(p)} rate={_fmt(rate)}")
     print(f"total snr: {_fmt(total)}")

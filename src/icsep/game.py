@@ -55,10 +55,14 @@ def adversary_best_response(
             f"coefficient position must be an off-diagonal pair with indices in 1..3, got {coeff!r}"
         )
     k = next(x for x in chan.USERS if x not in (i, j))
-    new = Fraction(carrier.gain(i, k)) * Fraction(carrier.gain(j, j)) / Fraction(carrier.gain(j, k))
-    rows = [list(row) for row in carrier.h]
-    rows[i - 1][j - 1] = new
-    return chan.SingleCarrierChannel(tuple(tuple(row) for row in rows))
+    h = carrier.h
+    # each stored gain (int, float or Fraction) is an exact integer ratio: one gcd normalises
+    an, ad = h[i - 1][k - 1].as_integer_ratio()
+    bn, bd = h[j - 1][j - 1].as_integer_ratio()
+    cn, cd = h[j - 1][k - 1].as_integer_ratio()
+    rows = [list(row) for row in h]
+    rows[i - 1][j - 1] = Fraction(an * bn * cd, ad * bd * cn)
+    return chan.SingleCarrierChannel(rows)
 
 
 def play_game(
@@ -88,10 +92,10 @@ def play_game(
         )
     )
     try:
-        chan.ensure_parallel_valid(modified)
+        # ia_feasibility validates the modified channel first, so this is its one check
+        aligned = _tin_curve(modified)
     except chan.InvalidChannelError as exc:
         raise ValueError(f"player 2's best response is out of range ({exc})") from exc
-    aligned = _tin_curve(modified)
     est = estimate_dof(aligned or _tdma_curve(modified))
     winner = PLAYER2 if aligned is None else PLAYER1
     return GameOutcome(winner, modified, (1,) * modified.n_carriers, est.slope)

@@ -217,16 +217,14 @@ def _log2_1p_ratio(a: float, b: float, noise_terms: Sequence[tuple] = ()) -> flo
     return max(d, 0.0) + math.log1p(2.0 ** -abs(d)) / math.log(2.0)
 
 
-def _half_log2_1p(gains_sq: Sequence[float], powers: Sequence[float]) -> list:
-    """(1/2)log2(1 + g_m p_m) per carrier, finite where g_m p_m overflows.
+def _half_log2_1p(g: float, p: float) -> float:
+    """(1/2)log2(1 + g p) on one carrier, finite where g p overflows.
 
     A finite product takes the plain formula, so its rate is unchanged bit
     for bit; only an overflowed one goes through the log domain.
     """
-    return [
-        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf else 0.5 * _log2_1p_ratio(g, p)
-        for g, p in zip(gains_sq, powers)
-    ]
+    x = g * p
+    return 0.5 * math.log2(1.0 + x) if x < math.inf else 0.5 * _log2_1p_ratio(g, p)
 
 
 def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
@@ -288,35 +286,42 @@ def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
     return _Fill(gains_sq, floors, ordered)
 
 
-def _pour(fill: _Fill, budget: float) -> list:
-    """Exact water-filling of one budget over a prepared gain vector.
+def _level(fill: _Fill, budget: float) -> float:
+    """The water level of one budget over a prepared gain vector.
 
-    The level over the k lowest floors is (budget + their running sum)/k;
-    the largest k whose level is at or above its own k-th floor (k = 1
-    always is) sets p_m = max(0, level - 1/g_m).
+    The level over the k lowest floors is (budget + their running sum)/k; the
+    largest k whose level is at or above its own k-th floor (k = 1 always is)
+    sets it, and p_m = max(0, level - 1/g_m) is written ``0.0 if d <= 0.0 else d``
+    so that a NaN stays NaN.  A zero budget has level 0.0, below every floor.
     """
     _check_power(budget, "power budget")
     if budget == 0:
-        return [0.0] * len(fill.floors)
+        return 0.0
     total = 0.0
     for k, floor in enumerate(fill.ordered, start=1):
         total += floor
         candidate = (budget + total) / k
         if candidate >= floor:
             level = candidate
-    # written out rather than max(0.0, d), which would turn a NaN into 0.0
-    return [0.0 if d <= 0.0 else d for d in [level - floor for floor in fill.floors]]
+    return level
 
 
 def _fill_rate(fill: _Fill, budget: float) -> float:
     """(1/M) sum_m (1/2)log2(1 + g_m p_m) at the water-filling split of ``budget``."""
-    alloc = _pour(fill, budget)
-    return sum(_half_log2_1p(fill.gains_sq, alloc)) / len(alloc)
+    level = _level(fill, budget)
+    # a loop, as a comprehension is one more frame on 3.11, into builtin sum, not a
+    # running total, which would round differently from 3.12 on
+    rates = []
+    for g, floor in zip(fill.gains_sq, fill.floors):
+        rates.append(_half_log2_1p(g, 0.0 if (d := level - floor) <= 0.0 else d))
+    return sum(rates) / len(rates)
 
 
 def water_fill(gains_sq: Sequence[float], budget: float) -> tuple:
     """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget."""
-    return tuple(_pour(_prepare_fill(gains_sq), budget))
+    fill = _prepare_fill(gains_sq)
+    level = _level(fill, budget)
+    return tuple(0.0 if (d := level - floor) <= 0.0 else d for floor in fill.floors)
 
 
 def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:

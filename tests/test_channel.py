@@ -331,6 +331,39 @@ def test_other_rational_gains_stay_exact():
     assert chan.all_witnesses(c, exact=True) == chan.all_witnesses(exact, exact=True)
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def one_gain_carrier(x):
+    return carrier([[1, x, 1], [1, 1, 1], [1, 1, 1]])
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_bool_gain_is_not_a_number(flag):
+    with pytest.raises(chan.ChannelFormatError, match=r"h\[0\]\[1\]: expected a number, got bool"):
+        one_gain_carrier(flag)
+
+
+@pytest.mark.parametrize("x, stored", [
+    (_Int(3), 3), (np.float64(0.5), 0.5), (_Fraction(2, 6), Fraction(1, 3)),
+], ids=["int-subclass", "numpy-float64", "fraction-subclass"])
+def test_subclass_gains_are_stored_as_the_exact_type(x, stored):
+    # np.float64 is a float subclass; each subclass is converted to the exact base type
+    got = one_gain_carrier(x).h[0][1]
+    assert got == stored and type(got) is type(stored)
+
+
+def test_fraction_gain_is_stored_as_itself():
+    x = Fraction(-7, 3)
+    got = one_gain_carrier(x).h[0][1]
+    assert got == x and type(got) is Fraction
+
+
 def test_load_reports_syntax_error_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"carriers": [')

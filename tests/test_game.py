@@ -84,6 +84,29 @@ def test_best_response_always_creates_exact_witness(c, pos):
     assert chan.singularity_check(modified) is not None  # default tolerance too
 
 
+# every type a gain is stored as, each with either sign
+signed_exact_gain = st.builds(
+    lambda x, sign: sign * x,
+    st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6),
+    ),
+    st.sampled_from((-1, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(signed_exact_gain, min_size=9, max_size=9), st.sampled_from(OFF_DIAG))
+def test_best_response_value_is_the_exact_fraction_product(flat, pos):
+    i, j = pos
+    k = next(x for x in (1, 2, 3) if x not in (i, j))
+    h = [flat[0:3], flat[3:6], flat[6:9]]
+    got = game.adversary_best_response(carrier(h), pos).gain(i, j)
+    assert got == Fraction(h[i - 1][k - 1]) * Fraction(h[j - 1][j - 1]) / Fraction(h[j - 1][k - 1])
+    assert type(got) is Fraction
+
+
 signed_wide_gain = st.builds(
     lambda e, sign: sign * 10.0**e,
     st.floats(min_value=-6.0, max_value=6.0),

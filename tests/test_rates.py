@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep import rates
@@ -431,6 +431,69 @@ def test_water_fill_objective_matches_generic_allocator(case):
     reference = rates.allocate_power(fns, budget)
     exact = sum(f(p) for f, p in zip(fns, rates.water_fill(gains_sq, budget)))
     assert exact >= sum(f(p) for f, p in zip(fns, reference.per_carrier)) - 1e-12
+
+
+# Reference copies of the list-form water-fill kernels: a list of powers, then
+# a list of per-carrier rates.  The one-pass kernels must match them bit for bit.
+
+def old_pour(fill, budget):
+    rates._check_power(budget, "power budget")
+    if budget == 0:
+        return [0.0] * len(fill.floors)
+    total = 0.0
+    for k, floor in enumerate(fill.ordered, start=1):
+        total += floor
+        candidate = (budget + total) / k
+        if candidate >= floor:
+            level = candidate
+    return [0.0 if d <= 0.0 else d for d in [level - floor for floor in fill.floors]]
+
+
+def old_half_log2_1p(gains_sq, powers):
+    return [
+        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf else 0.5 * rates._log2_1p_ratio(g, p)
+        for g, p in zip(gains_sq, powers)
+    ]
+
+
+# squared gains across the whole range the fill accepts, and budgets from
+# zero and below the float step up to where g p overflows into the log domain
+wide_fill_case = st.tuples(
+    st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=8),
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(min_value=0.0, max_value=1e308)),
+)
+
+
+# three floors 1/10 add up to more than 3/10, so only the zero-budget rule
+# keeps ([10.0] * 3, 0.0) from pouring a few ulps
+@settings(max_examples=300, deadline=None)
+@given(wide_fill_case)
+@example(([10.0] * 3, 0.0))
+@example(([1.0, 1.0], 1e-300))
+@example(([1e300, 1e200, 1.0], 1e300))
+def test_fill_rate_is_the_list_form_bit_for_bit(case):
+    gains_sq, budget = case
+    fill = rates._prepare_fill(gains_sq)
+    old = sum(old_half_log2_1p(fill.gains_sq, old_pour(fill, budget))) / len(fill.floors)
+    assert rates._fill_rate(fill, budget).hex() == old.hex()
+
+
+def test_fill_rate_example_reaches_the_log_domain():
+    # the last example above: g p overflows on the first carrier, whose rate
+    # then goes through _log2_1p_ratio, and the mean stays finite
+    fill = rates._prepare_fill([1e300, 1e200, 1.0])
+    assert fill.gains_sq[0] * old_pour(fill, 1e300)[0] == math.inf
+    assert math.isfinite(rates._fill_rate(fill, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_fill_case)
+@example(([10.0] * 3, 0.0))
+@example(([1.0, 1.0], 1e-300))
+def test_water_fill_is_the_old_pour_bit_for_bit(case):
+    gains_sq, budget = case
+    old = old_pour(rates._prepare_fill(gains_sq), budget)
+    assert [p.hex() for p in rates.water_fill(gains_sq, budget)] == [p.hex() for p in old]
 
 
 def test_allocate_power_equal_weak_carriers():
