@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import channel as chan
@@ -37,7 +38,7 @@ DESIRED_GAIN_TOL = 1e-9
 #: unit-norm check tolerance for scheme vectors
 UNIT_NORM_TOL = 1e-6
 
-#: most points of one generated SNR grid: a CLI ``sweep`` or an ``estimate_dof`` fit
+#: most points of one SNR grid: a ``sweep`` (also the CLI's) or an ``estimate_dof`` fit
 MAX_SNR_POINTS = 100_000
 
 _ALLOC_OUTER_ITERS = 200
@@ -271,10 +272,12 @@ def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
     Raises
     ------
     ValueError
-        If some squared gain is not a finite positive float whose
-        reciprocal is finite too.
+        If there is no squared gain, or some squared gain is not a finite
+        positive float whose reciprocal is finite too.
     """
     gains_sq = [float(g) for g in gains_sq]
+    if not gains_sq:
+        raise ValueError("need at least one squared gain")
     for g in gains_sq:
         # negated comparisons, so that a NaN fails them
         if not (0.0 < g < math.inf and 1.0 / g < math.inf):
@@ -517,9 +520,11 @@ def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:
     otherwise.  If no separate-encoding bound applies to the channel the
     separate column is None and the note says so.
     """
-    grid = [float(x) for x in snr_db_grid]
+    grid = [float(x) for x in islice(snr_db_grid, MAX_SNR_POINTS + 1)]
     if not grid:
         raise ValueError("snr_db_grid must be nonempty")
+    if len(grid) > MAX_SNR_POINTS:
+        raise ValueError(f"the SNR grid would have more than {MAX_SNR_POINTS} points")
     if not all(math.isfinite(x) for x in grid):
         raise ValueError("snr_db_grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -528,9 +533,8 @@ def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:
     # imported here: outerbounds builds on the water-fill core of this module
     from .outerbounds import NoSeparateBoundError, _separate_gains_sq
 
-    chan.ensure_parallel_valid(channel)
+    joint = _tin_curve(channel)  # ia_feasibility validates the channel first
     tdma = _tdma_curve(channel)
-    joint = _tin_curve(channel)
     note = "tdma-fallback no-ia" if joint is None else "ia-zf-tin equal-power"
     try:
         separate = _prepare_fill(_separate_gains_sq(channel))

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests, mostly through a subprocess like a user would run them."""
+"""End-to-end CLI tests: cli.main in this process, a subprocess where the process is under test."""
 
 import hashlib
 import json
@@ -15,13 +15,16 @@ from icsep import channel as chan
 from icsep import cli, rates
 
 
-def run_cli(*args):
-    cmd = [sys.executable, "-m", "icsep.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+def run_cli(capsys, *args):
+    """``icsep args`` through cli.main in this process, returned like subprocess.run's result."""
+    returncode = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, returncode, out, err)
 
 
-def run_pkg_main(*args):
-    cmd = [sys.executable, "-m", "icsep", *args]
+def run_process(module, *args):
+    """``python -m module args`` in a new process."""
+    cmd = [sys.executable, "-m", module, *args]
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
@@ -34,21 +37,21 @@ def write_channel(path, carriers):
 
 
 def test_help():
-    cp = run_cli("--help")
+    cp = run_process("icsep.cli", "--help")
     assert cp.returncode == 0, cp.stderr
     for name in ("check", "sweep", "bound-mac", "game", "alloc"):
         assert name in cp.stdout
 
 
 def test_pkg_main_entry():
-    cp = run_pkg_main("check", "--builtin", "counterexample")
+    cp = run_process("icsep", "check", "--builtin", "counterexample")
     assert cp.returncode == 0, cp.stderr
 
 
 # ------------------------------------------------------------------- check
 
-def test_check_builtin_counterexample():
-    cp = run_cli("check", "--builtin", "counterexample")
+def test_check_builtin_counterexample(capsys):
+    cp = run_cli(capsys, "check", "--builtin", "counterexample")
     assert cp.returncode == 0, cp.stderr
     lines = cp.stdout.strip().splitlines()
     assert len(lines) == 2
@@ -56,9 +59,9 @@ def test_check_builtin_counterexample():
     assert all("gamma=1" in line for line in lines)
 
 
-def test_check_generic_channel_reports_no_witness(tmp_path):
+def test_check_generic_channel_reports_no_witness(tmp_path, capsys):
     path = write_channel(tmp_path / "c.json", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]]])
-    cp = run_cli("check", "--channel", path)
+    cp = run_cli(capsys, "check", "--channel", path)
     assert cp.returncode == 0, cp.stderr
     assert "no witness" in cp.stdout
     assert "dof=unknown" in cp.stdout
@@ -97,36 +100,41 @@ def test_check_reports_no_witness_for_two_small_distinct_ratios(tmp_path, capsys
     assert capsys.readouterr().out == "carrier 1: valid; no witness; dof=unknown\n"
 
 
-def test_check_zero_gain_exits_nonzero_with_position(tmp_path):
+def test_check_zero_gain_exits_nonzero_with_position(tmp_path, capsys):
     path = write_channel(tmp_path / "c.json", [[[1, 0, 1], [1, 1, 1], [1, 1, 2]]])
-    cp = run_cli("check", "--channel", path)
+    cp = run_cli(capsys, "check", "--channel", path)
     assert cp.returncode != 0
     assert "carrier 1" in cp.stdout
     assert "(1,2)" in cp.stdout
 
 
-def test_check_gain_whose_square_overflows_exits_2_with_position(tmp_path):
+def test_check_gain_whose_square_overflows_exits_2_with_position(tmp_path, capsys):
     path = write_channel(tmp_path / "c.json", [[[1, 1, 1], [1, 1, 1], [1, 1e200, 2]]])
-    cp = run_cli("check", "--channel", path)
+    cp = run_cli(capsys, "check", "--channel", path)
     assert cp.returncode == 2
     assert "carrier 1: invalid at (3,2)" in cp.stdout
     assert "squared gains" not in cp.stdout + cp.stderr
+    # a 400-digit JSON integer is beyond the float range: the build-time float conversion reports it
+    path = write_channel(tmp_path / "huge.json", [[[10**399, 1, 1], [1, 1, 1], [1, 1, -1]]])
+    cp = run_cli(capsys, "check", "--channel", path)
+    assert cp.returncode == 2
+    assert cp.stdout == "carrier 1: invalid at (1,1): not a finite real number\n"
 
 
-def test_check_rejects_malformed_file(tmp_path):
+def test_check_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"carriers": [{"h": [[1, 2], [3], [4]]}]}')
-    cp = run_cli("check", "--channel", str(path))
+    cp = run_cli(capsys, "check", "--channel", str(path))
     assert cp.returncode != 0
     assert "carriers[0]" in cp.stderr
 
 
 # ------------------------------------------------------------------- sweep
 
-def test_sweep_row_count_and_header(tmp_path):
+def test_sweep_row_count_and_header(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cp = run_cli(
-        "sweep", "--builtin", "counterexample",
+        capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "50", "--snr-db-step", "5",
         "--output", str(out),
     )
@@ -141,19 +149,19 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
         "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "30", "--snr-db-step", "3",
     )
-    first, second = run_cli(*args), run_cli(*args)
+    first, second = run_process("icsep.cli", *args), run_process("icsep.cli", *args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*args, "--output", str(out1)).returncode == 0
-    assert run_cli(*args, "--output", str(out2)).returncode == 0
+    assert run_process("icsep.cli", *args, "--output", str(out1)).returncode == 0
+    assert run_process("icsep.cli", *args, "--output", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_joint_column_slope(tmp_path):
+def test_sweep_joint_column_slope(tmp_path, capsys):
     out = tmp_path / "high.csv"
     cp = run_cli(
-        "sweep", "--builtin", "counterexample",
+        capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "40", "--snr-db-stop", "80", "--snr-db-step", "2",
         "--output", str(out),
     )
@@ -166,9 +174,9 @@ def test_sweep_joint_column_slope(tmp_path):
     assert abs(slope - 1.5) <= 0.05
 
 
-def test_sweep_unwritable_output(tmp_path):
+def test_sweep_unwritable_output(tmp_path, capsys):
     cp = run_cli(
-        "sweep", "--builtin", "counterexample",
+        capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "10", "--snr-db-step", "5",
         "--output", str(tmp_path / "missing-dir" / "out.csv"),
     )
@@ -176,9 +184,9 @@ def test_sweep_unwritable_output(tmp_path):
     assert "error" in cp.stderr
 
 
-def test_sweep_rejects_non_finite_grid_bounds():
+def test_sweep_rejects_non_finite_grid_bounds(capsys):
     cp = run_cli(
-        "sweep", "--builtin", "counterexample",
+        capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "inf", "--snr-db-step", "1",
     )
     assert cp.returncode == 2
@@ -186,10 +194,10 @@ def test_sweep_rejects_non_finite_grid_bounds():
     assert "Traceback" not in cp.stderr
 
 
-def test_sweep_rejects_grid_above_point_cap():
+def test_sweep_rejects_grid_above_point_cap(capsys):
     # 6e10 points: refused before any list is built
     cp = run_cli(
-        "sweep", "--builtin", "counterexample",
+        capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1e-9",
     )
     assert cp.returncode == 2
@@ -206,9 +214,12 @@ def test_sweep_is_finite_and_exact_for_gains_near_the_float_limit(tmp_path, caps
     # every rate at 120 dB multiplies 1e300 by 1e12; the parent printed inf
     path = write_channel(tmp_path / "c.json", [[[1e150, 1, 1], [1, 1e150, 1], [1, 1, 1e150]]])
     argv = ["sweep", "--channel", path,
-            "--snr-db-start", "0", "--snr-db-stop", "120", "--snr-db-step", "10"]
+            "--snr-db-start", "0", "--snr-db-stop", "120", "--snr-db-step", "1"]
     assert cli.main(argv) == 0
-    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for row in rows:  # the separate column is empty: no bound applies
+        assert all(math.isfinite(float(x)) for x in row.split(",")[1:4] if x), row
+    last = rows[-1].split(",")
     want = exact_half_log2(1 + Fraction(1e150) ** 2 * 10**12)
     assert last[0] == "120"
     assert float(last[1]) == float(last[3]) == pytest.approx(want, rel=1e-8)
@@ -221,6 +232,15 @@ def test_sweep_columns_are_finite_on_a_scaled_counterexample(tmp_path, capsys):
     assert cli.main(argv) == 0
     for row in capsys.readouterr().out.splitlines()[1:]:
         assert all(math.isfinite(float(x)) for x in row.split(",")[1:4]), row
+    # relabelled and sign-flipped, the counterexample has the builtin's separate bound (column 3)
+    flip = [[[-1, 1, -1], [1, -1, 1], [1, -1, -1]], [[1, 1, 1], [1, -1, 1], [1, 1, -1]]]
+    grid = ["--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1"]
+    columns = []
+    for source in (["--builtin", "counterexample"],
+                   ["--channel", write_channel(tmp_path / "flip.json", flip)]):
+        assert cli.main(["sweep", *source, *grid]) == 0
+        columns.append([row.split(",")[2] for row in capsys.readouterr().out.splitlines()])
+    assert columns[0] == columns[1] and all(columns[0])
 
 
 def test_sweep_aligns_where_the_chain_vector_squares_overflow(tmp_path, capsys):
@@ -242,36 +262,36 @@ def test_bound_mac_at_the_edge_of_the_stated_range(capsys):
     assert "bound=509.99" in capsys.readouterr().out
 
 
-def test_bound_mac_with_oracle_gap():
-    cp = run_cli("bound-mac", "--h", "2", "--snr-db", "10", "--oracle")
+def test_bound_mac_with_oracle_gap(capsys):
+    cp = run_cli(capsys, "bound-mac", "--h", "2", "--snr-db", "10", "--oracle")
     assert cp.returncode == 0, cp.stderr
     assert "bound=" in cp.stdout and "oracle=" in cp.stdout
     gap = float(cp.stdout.split("gap=")[1].split()[0])
     assert abs(gap) <= 1e-3
 
 
-def test_bound_mac_zero_snr():
-    cp = run_cli("bound-mac", "--h", "2", "--snr-db", "-400")
+def test_bound_mac_zero_snr(capsys):
+    cp = run_cli(capsys, "bound-mac", "--h", "2", "--snr-db", "-400")
     assert cp.returncode == 0, cp.stderr
     bound = float(cp.stdout.split("bound=")[1].split()[0])
     assert bound <= 1e-12
 
 
-def test_bound_mac_rejects_h_below_one():
-    cp = run_cli("bound-mac", "--h", "0.5", "--snr-db", "10")
+def test_bound_mac_rejects_h_below_one(capsys):
+    cp = run_cli(capsys, "bound-mac", "--h", "0.5", "--snr-db", "10")
     assert cp.returncode != 0
     assert "h > 1" in cp.stderr
 
 
-def test_bound_mac_rejects_non_finite_h():
-    cp = run_cli("bound-mac", "--h", "nan", "--snr-db", "10")
+def test_bound_mac_rejects_non_finite_h(capsys):
+    cp = run_cli(capsys, "bound-mac", "--h", "nan", "--snr-db", "10")
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:")
     assert cp.stdout == ""
 
 
-def test_bound_mac_beyond_the_float_range_is_an_error_not_a_traceback():
-    cp = run_cli("bound-mac", "--h", "1e80", "--snr-db", "0")
+def test_bound_mac_beyond_the_float_range_is_an_error_not_a_traceback(capsys):
+    cp = run_cli(capsys, "bound-mac", "--h", "1e80", "--snr-db", "0")
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:") and "floating-point range" in cp.stderr
     assert "Traceback" not in cp.stderr
@@ -284,28 +304,28 @@ def test_bound_mac_oracle_rejects_an_oversized_grid(capsys):
 
 # -------------------------------------------------------------------- game
 
-def test_game_counterexample_construction_player1():
-    cp = run_cli("game", "--builtin", "counterexample", "--coeff", "1,2", "--coeff", "2,3")
+def test_game_counterexample_construction_player1(capsys):
+    cp = run_cli(capsys, "game", "--builtin", "counterexample", "--coeff", "1,2", "--coeff", "2,3")
     assert cp.returncode == 0, cp.stderr
     assert "winner: player1" in cp.stdout
     assert "per-carrier dof: 1 1" in cp.stdout
 
 
-def test_game_single_carrier_player2(tmp_path):
+def test_game_single_carrier_player2(tmp_path, capsys):
     path = write_channel(tmp_path / "c.json", [[[1.1, 0.6, 1.4], [0.8, 1.3, 0.5], [0.7, 0.9, 1.2]]])
-    cp = run_cli("game", "--channel", path, "--coeff", "1,2")
+    cp = run_cli(capsys, "game", "--channel", path, "--coeff", "1,2")
     assert cp.returncode == 0, cp.stderr
     assert "winner: player2" in cp.stdout
 
 
-def test_game_single_coeff_broadcasts_player2():
-    cp = run_cli("game", "--builtin", "counterexample", "--coeff", "1,2")
+def test_game_single_coeff_broadcasts_player2(capsys):
+    cp = run_cli(capsys, "game", "--builtin", "counterexample", "--coeff", "1,2")
     assert cp.returncode == 0, cp.stderr
     assert "winner: player2" in cp.stdout
 
 
-def test_game_rejects_malformed_coeff():
-    cp = run_cli("game", "--builtin", "counterexample", "--coeff", "1,1")
+def test_game_rejects_malformed_coeff(capsys):
+    cp = run_cli(capsys, "game", "--builtin", "counterexample", "--coeff", "1,1")
     assert cp.returncode != 0
     assert "off-diagonal" in cp.stderr
 
@@ -325,12 +345,18 @@ def test_game_on_a_small_gain_counterexample_player1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "joint dof slope: 0.532029176" in out
     assert "winner: player1" in out
+    # carrier 1 times 1e-6 and carrier 2 times 1e6: the alignment tests are scale-free per carrier
+    carriers = [[[c * x for x in row] for row in carrier.h]
+                for c, carrier in zip((1e-6, 1e6), chan.make_counterexample().carriers)]
+    path = write_channel(tmp_path / "split.json", carriers)
+    assert cli.main(["game", "--channel", path, "--coeff", "1,2", "--coeff", "2,3"]) == 0
+    assert "winner: player1" in capsys.readouterr().out.splitlines()
 
 
-def test_game_best_response_out_of_range_is_an_error_not_a_traceback(tmp_path):
+def test_game_best_response_out_of_range_is_an_error_not_a_traceback(tmp_path, capsys):
     # a valid carrier whose best response at (1,2) is 1e150 * 1e150 / 1e-11 = 1e311
     path = write_channel(tmp_path / "c.json", [[[1, 1, 1e150], [1, 1e150, 1e-11], [1, 1, 1]]])
-    cp = run_cli("game", "--channel", path, "--coeff", "1,2")
+    cp = run_cli(capsys, "game", "--channel", path, "--coeff", "1,2")
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:") and "best response" in cp.stderr
     assert len(cp.stderr.splitlines()) == 1
@@ -339,8 +365,8 @@ def test_game_best_response_out_of_range_is_an_error_not_a_traceback(tmp_path):
 
 # ------------------------------------------------------------------- alloc
 
-def test_alloc_symmetric_bounds_split_equally():
-    cp = run_cli("alloc", "--snr-db", "10", "--bound", "example1", "--bound", "example1")
+def test_alloc_symmetric_bounds_split_equally(capsys):
+    cp = run_cli(capsys, "alloc", "--snr-db", "10", "--bound", "example1", "--bound", "example1")
     assert cp.returncode == 0, cp.stderr
     assert "snr=5 " in cp.stdout
     assert "objective: " in cp.stdout
@@ -360,8 +386,8 @@ def test_alloc_is_finite_and_exact_where_the_product_overflows(capsys):
     assert float(out.split("objective: ")[1]) == pytest.approx(rate1 + rate2, rel=1e-8)
 
 
-def test_alloc_rejects_non_finite_gain():
-    cp = run_cli("alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:nan")
+def test_alloc_rejects_non_finite_gain(capsys):
+    cp = run_cli(capsys, "alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:nan")
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:") and "p2p" in cp.stderr
 
@@ -373,8 +399,8 @@ def test_alloc_names_the_bound_the_water_fill_rejects(capsys):
     assert err.startswith("error:") and "p2p:1e-160" in err and "reciprocal" in err
 
 
-def test_alloc_rejects_unknown_bound():
-    cp = run_cli("alloc", "--snr-db", "10", "--bound", "mystery")
+def test_alloc_rejects_unknown_bound(capsys):
+    cp = run_cli(capsys, "alloc", "--snr-db", "10", "--bound", "mystery")
     assert cp.returncode != 0
     assert "bound spec" in cp.stderr
 

@@ -221,8 +221,13 @@ def test_tdma_and_sweep_reject_gain_whose_square_overflows():
     big = chan.ParallelChannel((chan.SingleCarrierChannel(rows), CE.carriers[1]))
     with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
         rates.tdma_rate(big, 1, 10.0)
-    with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
-        rates.sweep(big, [0.0, 10.0])
+    # sweep: on every carrier count, and after the grid errors
+    for n in (1, 2, 3):
+        big = chan.ParallelChannel((chan.SingleCarrierChannel(rows),) + CE.carriers[1:] * (n - 1))
+        with pytest.raises(ValueError, match="nonempty"):
+            rates.sweep(big, [])
+        with pytest.raises(chan.InvalidChannelError, match=r"\(1,1\)"):
+            rates.sweep(big, [0.0, 10.0])
 
 
 # gains near 1e150 are valid (their squares are finite), but every
@@ -380,6 +385,13 @@ def test_water_fill_rejects_bad_budget():
     for budget in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="budget"):
             rates.water_fill([1.0, 2.0], budget)
+
+
+def test_water_fill_rejects_an_empty_gain_vector():
+    # the parent raised UnboundLocalError at a positive budget and returned () at 0
+    for budget in (1.0, 0.0):
+        with pytest.raises(ValueError, match="at least one"):
+            rates.water_fill([], budget)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 1e-320])
@@ -749,6 +761,28 @@ def test_sweep_rejects_non_finite_grid():
     for grid in ([0.0, math.nan, 10.0], [0.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             rates.sweep(CE, grid)
+
+
+def test_sweep_rejects_a_grid_above_the_point_cap():
+    # the parent built a row for each of the 100,002 points
+    drawn = []
+
+    def grid():
+        for k in range(rates.MAX_SNR_POINTS + 2):
+            drawn.append(k)
+            yield k * 1e-4
+
+    with pytest.raises(ValueError, match=f"more than {rates.MAX_SNR_POINTS} points"):
+        rates.sweep(CE, grid())
+    assert len(drawn) == rates.MAX_SNR_POINTS + 1
+
+
+def test_sweep_validates_the_channel_once(monkeypatch):
+    calls = []
+    validate = chan.ensure_parallel_valid
+    monkeypatch.setattr(chan, "ensure_parallel_valid", lambda c: calls.append(c) or validate(c))
+    rates.sweep(CE, [0.0, 10.0])
+    assert len(calls) == 1
 
 
 def test_sweep_rejects_bad_grids():
