@@ -89,9 +89,9 @@ def _snr_grid(start: float, stop: float, step: float) -> list:
     if stop < start:
         raise ValueError("--snr-db-stop must not be below --snr-db-start")
     span = (stop - start) / step + 1e-9  # the 1e-9 keeps an on-grid stop
-    if not span < MAX_SNR_POINTS:  # also catches a span that overflows to inf
-        raise ValueError(f"the SNR grid would have more than {MAX_SNR_POINTS} points")
-    return [start + k * step for k in range(int(span) + 1)]
+    # at most MAX_SNR_POINTS + 1 points, also for a span that overflows to
+    # inf: sweep refuses a grid above its cap
+    return [start + k * step for k in range(int(min(span, MAX_SNR_POINTS)) + 1)]
 
 
 def cmd_sweep(args) -> int:

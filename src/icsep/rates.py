@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import channel as chan
 
@@ -512,13 +512,14 @@ def ia_feasibility(channel: chan.ParallelChannel) -> Optional[BeamformingScheme]
     return BeamformingScheme(v, u)
 
 
-def sweep(channel: chan.ParallelChannel, snr_db_grid: Sequence[float]) -> list:
+def sweep(channel: chan.ParallelChannel, snr_db_grid: Iterable[float]) -> list:
     """Joint TIN rate vs separate-encoding outerbound vs TDMA over an SNR grid.
 
     The joint curve uses the alignment scheme (when feasible) with an
     equal power split p_j = SNR/3, and falls back to the best TDMA rate
     otherwise.  If no separate-encoding bound applies to the channel the
-    separate column is None and the note says so.
+    separate column is None and the note says so.  The grid may be any
+    iterable; at most MAX_SNR_POINTS + 1 of its values are read.
     """
     grid = [float(x) for x in islice(snr_db_grid, MAX_SNR_POINTS + 1)]
     if not grid:

@@ -28,7 +28,12 @@ def run_process(module, *args):
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-THREE_CARRIERS = str(Path(__file__).with_name("three_carriers.json"))
+def fixture(name):
+    """A channel file committed next to this module; CI's numpy-free step runs the CLI on it too."""
+    return str(Path(__file__).with_name(name))
+
+
+THREE_CARRIERS = fixture("three_carriers.json")
 
 
 def write_channel(path, carriers):
@@ -91,12 +96,11 @@ def test_check_rejects_a_bad_tol_before_reporting_any_carrier(tmp_path, capsys, 
     assert "exact" not in err
 
 
-def test_check_reports_no_witness_for_two_small_distinct_ratios(tmp_path, capsys):
+def test_check_reports_no_witness_for_two_small_distinct_ratios(capsys):
     # r1 = 2e-9 and r2 = 1.11e-9: printed as a witness with gamma=2e-09 and
     # dof=1 while the ratio test had an absolute floor
-    rows = [[1.0, 2e-9, 0.7], [0.5, 1.3, 1.1], [0.9, 1e-9, 1.7]]
-    path = write_channel(tmp_path / "c.json", [rows])
-    assert cli.main(["check", "--channel", path]) == 0
+    # [[1.0, 2e-9, 0.7], [0.5, 1.3, 1.1], [0.9, 1e-9, 1.7]]
+    assert cli.main(["check", "--channel", fixture("two_small_ratios.json")]) == 0
     assert capsys.readouterr().out == "carrier 1: valid; no witness; dof=unknown\n"
 
 
@@ -114,9 +118,9 @@ def test_check_gain_whose_square_overflows_exits_2_with_position(tmp_path, capsy
     assert cp.returncode == 2
     assert "carrier 1: invalid at (3,2)" in cp.stdout
     assert "squared gains" not in cp.stdout + cp.stderr
-    # a 400-digit JSON integer is beyond the float range: the build-time float conversion reports it
-    path = write_channel(tmp_path / "huge.json", [[[10**399, 1, 1], [1, 1, 1], [1, 1, -1]]])
-    cp = run_cli(capsys, "check", "--channel", path)
+    # a 400-digit JSON integer (10**399 at (1,1)) is beyond the float range:
+    # the build-time float conversion reports it
+    cp = run_cli(capsys, "check", "--channel", fixture("gain_beyond_float_range.json"))
     assert cp.returncode == 2
     assert cp.stdout == "carrier 1: invalid at (1,1): not a finite real number\n"
 
@@ -195,7 +199,7 @@ def test_sweep_rejects_non_finite_grid_bounds(capsys):
 
 
 def test_sweep_rejects_grid_above_point_cap(capsys):
-    # 6e10 points: refused before any list is built
+    # 6e10 points: sweep refuses the grid after reading 100,001 of them, before any row
     cp = run_cli(
         capsys, "sweep", "--builtin", "counterexample",
         "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1e-9",
@@ -210,10 +214,10 @@ def exact_half_log2(one_plus_x: Fraction) -> float:
     return 0.5 * (math.log2(one_plus_x.numerator) - math.log2(one_plus_x.denominator))
 
 
-def test_sweep_is_finite_and_exact_for_gains_near_the_float_limit(tmp_path, capsys):
-    # every rate at 120 dB multiplies 1e300 by 1e12; the parent printed inf
-    path = write_channel(tmp_path / "c.json", [[[1e150, 1, 1], [1, 1e150, 1], [1, 1, 1e150]]])
-    argv = ["sweep", "--channel", path,
+def test_sweep_is_finite_and_exact_for_gains_near_the_float_limit(capsys):
+    # diagonal gains 1e150, the rest 1: every rate at 120 dB multiplies 1e300
+    # by 1e12; the parent printed inf
+    argv = ["sweep", "--channel", fixture("gains_near_float_limit.json"),
             "--snr-db-start", "0", "--snr-db-stop", "120", "--snr-db-step", "1"]
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
@@ -233,22 +237,19 @@ def test_sweep_columns_are_finite_on_a_scaled_counterexample(tmp_path, capsys):
     for row in capsys.readouterr().out.splitlines()[1:]:
         assert all(math.isfinite(float(x)) for x in row.split(",")[1:4]), row
     # relabelled and sign-flipped, the counterexample has the builtin's separate bound (column 3)
-    flip = [[[-1, 1, -1], [1, -1, 1], [1, -1, -1]], [[1, 1, 1], [1, -1, 1], [1, 1, -1]]]
     grid = ["--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "1"]
     columns = []
     for source in (["--builtin", "counterexample"],
-                   ["--channel", write_channel(tmp_path / "flip.json", flip)]):
+                   ["--channel", fixture("relabelled_counterexample.json")]):
         assert cli.main(["sweep", *source, *grid]) == 0
         columns.append([row.split(",")[2] for row in capsys.readouterr().out.splitlines()])
     assert columns[0] == columns[1] and all(columns[0])
 
 
-def test_sweep_aligns_where_the_chain_vector_squares_overflow(tmp_path, capsys):
+def test_sweep_aligns_where_the_chain_vector_squares_overflow(capsys):
     # h31 scaled by 1e150 and h32 by 1e-11 on the counterexample: the aligned
     # vectors' squared norms overflow, and the run must neither raise nor lose alignment
-    path = write_channel(tmp_path / "c.json", [[[1, 1, 1], [1, 1, 1], [1e150, 1e-11, -1]],
-                                                [[-1, 1, 1], [1, -1, 1], [1e150, 1e-11, 1]]])
-    argv = ["sweep", "--channel", path,
+    argv = ["sweep", "--channel", fixture("chain_squares_overflow.json"),
             "--snr-db-start", "0", "--snr-db-stop", "60", "--snr-db-step", "10"]
     assert cli.main(argv) == 0
     assert "ia-zf-tin" in capsys.readouterr().out.splitlines()[-1]
@@ -337,26 +338,23 @@ def test_game_rejects_coeff_index_out_of_range(capsys):
     assert err.startswith("error:") and "off-diagonal" in err
 
 
-def test_game_on_a_small_gain_counterexample_player1(tmp_path, capsys):
+def test_game_on_a_small_gain_counterexample_player1(capsys):
     # every gain times 1e-3: the 40-80 dB slope reads 0.53, but the scheme aligns
-    carriers = [[[1e-3 * x for x in row] for row in c.h] for c in chan.make_counterexample().carriers]
-    path = write_channel(tmp_path / "c.json", carriers)
+    path = fixture("small_counterexample.json")
     assert cli.main(["game", "--channel", path, "--coeff", "1,2", "--coeff", "2,3"]) == 0
     out = capsys.readouterr().out
     assert "joint dof slope: 0.532029176" in out
     assert "winner: player1" in out
     # carrier 1 times 1e-6 and carrier 2 times 1e6: the alignment tests are scale-free per carrier
-    carriers = [[[c * x for x in row] for row in carrier.h]
-                for c, carrier in zip((1e-6, 1e6), chan.make_counterexample().carriers)]
-    path = write_channel(tmp_path / "split.json", carriers)
+    path = fixture("split_scale_counterexample.json")
     assert cli.main(["game", "--channel", path, "--coeff", "1,2", "--coeff", "2,3"]) == 0
     assert "winner: player1" in capsys.readouterr().out.splitlines()
 
 
-def test_game_best_response_out_of_range_is_an_error_not_a_traceback(tmp_path, capsys):
+def test_game_best_response_out_of_range_is_an_error_not_a_traceback(capsys):
     # a valid carrier whose best response at (1,2) is 1e150 * 1e150 / 1e-11 = 1e311
-    path = write_channel(tmp_path / "c.json", [[[1, 1, 1e150], [1, 1e150, 1e-11], [1, 1, 1]]])
-    cp = run_cli(capsys, "game", "--channel", path, "--coeff", "1,2")
+    # [[1, 1, 1e150], [1, 1e150, 1e-11], [1, 1, 1]]
+    cp = run_cli(capsys, "game", "--channel", fixture("best_response_overflow.json"), "--coeff", "1,2")
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:") and "best response" in cp.stderr
     assert len(cp.stderr.splitlines()) == 1
