@@ -314,4 +314,6 @@ def load_channel(path) -> ParallelChannel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ChannelFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+            raise ChannelFormatError(f"{path}: {exc}") from exc
     return parse_channel(obj)

@@ -136,9 +136,7 @@ def cmd_game(args) -> int:
     outcome = game_mod.play_game(channel, coeffs)
     print("modified channel:")
     for m, carrier in enumerate(outcome.modified_channel.carriers, start=1):
-        rows = "; ".join(
-            " ".join(_fmt(carrier.gain(i, j)) for j in chan.USERS) for i in chan.USERS
-        )
+        rows = "; ".join(" ".join(_fmt(g) for g in row) for row in carrier.h)
         print(f"carrier {m}: {rows}")
     print("per-carrier dof:", *outcome.per_carrier_dof)
     print(f"joint dof slope: {_fmt(outcome.joint_dof_estimate)}")

@@ -61,14 +61,7 @@ class GenieParams:
 
     def noise_enhancement(self) -> float:
         """E[(Z1 + Z~)^2]; must stay at or below the unit noise power."""
-        # sigma**2 rounds differently from sigma*sigma on some inputs, and the
-        # grid's feasibility decisions depend on it; ** raises where the
-        # product would round to inf
-        try:
-            square = self.sigma**2
-        except OverflowError:
-            square = math.inf
-        return 1.0 + square + 2.0 * self.rho * self.sigma
+        return 1.0 + self.sigma * self.sigma + 2.0 * self.rho * self.sigma
 
     def feasible(self) -> bool:
         """a1 finite, sigma > 0, |rho| < 1 - 1e-12 (K_z nonsingular) and

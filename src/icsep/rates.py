@@ -398,8 +398,6 @@ def allocate_power(
     if not fns:
         raise ValueError("need at least one per-carrier bound")
     _check_power(total_snr, "total_snr")
-    if total_snr == 0:
-        return PowerAllocation((0.0,) * len(fns))
 
     marg0 = [max(0.0, _marginal(f, 0.0)) for f in fns]
     marg_cap = [_marginal(f, total_snr) for f in fns]

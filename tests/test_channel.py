@@ -369,3 +369,17 @@ def test_load_reports_syntax_error_position(tmp_path):
     path.write_text('{"carriers": [')
     with pytest.raises(chan.ChannelFormatError, match="line"):
         chan.load_channel(path)
+
+
+# files json cannot decode for a reason other than a syntax error; 100,000
+# levels is beyond the nesting limit of every supported Python
+@pytest.mark.parametrize("content", [
+    ('{"carriers": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+    b'\xff\xfe{"carriers": []}',
+    b'{"carriers": [{"h": [[' + b"1" * 5000 + b', 1, 1], [1, 1, 1], [1, 1, 1]]}]}',
+], ids=["nested-too-deep", "not-utf8", "integer-over-digit-limit"])
+def test_load_names_the_file_it_cannot_decode(tmp_path, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    with pytest.raises(chan.ChannelFormatError, match="undecodable.json: "):
+        chan.load_channel(path)

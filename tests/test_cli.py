@@ -133,6 +133,19 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     assert "carriers[0]" in cp.stderr
 
 
+@pytest.mark.parametrize("content", [
+    ('{"carriers": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+    b'\xff\xfe{"carriers": []}',
+], ids=["nested-too-deep", "not-utf8"])
+def test_check_undecodable_file_exits_2_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    cp = run_cli(capsys, "check", "--channel", str(path))
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith(f"error: {path}: ") and len(cp.stderr.splitlines()) == 1
+    assert "Traceback" not in cp.stderr
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_row_count_and_header(tmp_path, capsys):
@@ -487,6 +500,10 @@ def test_ndarray_helpers_keep_type_and_values(call, want):
      "5259b9646b0d381660bd8119b2c11a4c8225fcf9c707773e1c42fccb55520c68"),
     (["game", "--channel", THREE_CARRIERS, "--coeff", "1,2"],
      "8ebbdd4fbb5b5dc6a32cde4d6d74ac87d92e879845474a5b6271500490f06d04"),
+    (["check", "--builtin", "counterexample"],
+     "9f8a42219d405805367c2451c38a302028a9443d6183e574b34481f90785e2c8"),
+    (["alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:2.0"],
+     "ba8a89f7060f091abdeafc3fb446a2bad0ca6d9428de0b50eb6936f4d3d6ea07"),
 ])
 def test_golden_output(capsys, argv, digest):
     # frozen stdout digests: a changed printed digit shows up here

@@ -236,8 +236,7 @@ def test_mac_bound_optimize_deterministic():
     assert a == b
 
 
-# inputs where a simplex refinement from the best grid point stopped in a
-# worse basin, 0.004-0.011 bits above the dense grid
+# fixed inputs for the check against the dense-grid oracle
 @pytest.mark.parametrize("h, snr_db", [
     (6.8122, 3.808),
     (8.3585, 14.535),
@@ -455,6 +454,17 @@ def test_mac_bound_optimize_is_the_full_grid_scan_bit_for_bit():
         assert mac_outcome(optimize, h, snr) == mac_outcome(full_grid_optimize, h, snr), (h, snr)
 
 
+def test_coarse_grid_pairs_are_the_feasible_ones():
+    # the noise constraint written out, E[(Z1+Z~)^2] - 1 = sigma^2 + 2 rho sigma <= tol;
+    # no grid point lies near enough the boundary for the rounding of sigma^2 to matter
+    points = [(sigma, rho) for sigma in _linspace(2.0 / 24, 2.0, 24)
+              for rho in _linspace(-1.0 + 1e-6, 1.0 - 1e-6, 25)]
+    assert all(abs(sigma * sigma + 2 * rho * sigma) > 1e-9 for sigma, rho in points)
+    feasible = tuple((sigma, rho) for sigma, rho in points
+                     if sigma * sigma + 2 * rho * sigma <= ob.CONSTRAINT_TOL)
+    assert ob._GRID_PAIRS == feasible and len(feasible) == 144
+
+
 @pytest.mark.parametrize("h, snr, want", [
     (1e30, 1e40, 330.60784698801507),
     (1e77, 1.0, 509.99196411193265),
@@ -484,7 +494,7 @@ def test_mac_bound_is_finite_and_exact_for_a_large_h(h, snr_of_h):
 
 
 def test_huge_sigma_is_infeasible_rather_than_an_overflow():
-    # sigma**2 overflows; the enhancement is then far above 1
+    # the square of sigma overflows to inf; the enhancement is then far above 1
     params = ob.GenieParams(0.0, 1e200, -0.5)
     assert params.noise_enhancement() == math.inf
     assert not params.feasible()

@@ -346,6 +346,9 @@ def test_allocate_meets_budget_with_equality():
 
 def test_allocate_zero_budget():
     assert rates.allocate_power([half_log2(1.0)] * 3, 0.0).per_carrier == (0.0, 0.0, 0.0)
+    # a carrier with no marginal value and one that saturates at p = 1
+    fns = [lambda p: 0.0, lambda p: min(p, 1.0)]
+    assert rates.allocate_power(fns, 0.0).per_carrier == (0.0, 0.0)
 
 
 def test_allocate_matches_grid_oracle():
