@@ -10,6 +10,7 @@ as the fitting window moves up in SNR.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,6 +24,26 @@ class DofEstimate:
     """Least-squares slope of a rate curve against (1/2)log2(SNR): the DoF estimate."""
 
     slope: float
+
+
+# One grid at a time, as play_game only asks for the default window.  Typed, so a
+# window equal to the cached one but of another type (Decimal(40) == 40.0) builds,
+# or fails, as it would uncached.
+@functools.lru_cache(maxsize=1, typed=True)
+def _fit_grid(snr_db_lo: float, snr_db_hi: float, n_points: int) -> tuple:
+    """The window's dB points, their SNRs, the centred x = (1/2)log2(SNR) and sum (x - mean)^2."""
+    dbs = _linspace(snr_db_lo, snr_db_hi, n_points)
+    snrs = [db_to_linear(db) for db in dbs]
+    x = [0.5 * math.log2(snr) for snr in snrs]
+    x_mean = math.fsum(x) / n_points
+    xm = [v - x_mean for v in x]
+    sxx = math.fsum(a * a for a in xm)
+    if sxx == 0.0:
+        raise ValueError(
+            f"the dB window [{snr_db_lo!r}, {snr_db_hi!r}] has no spread in (1/2)log2(SNR) "
+            f"over {n_points} points"
+        )
+    return tuple(dbs), tuple(snrs), tuple(xm), sxx
 
 
 def estimate_dof(
@@ -46,7 +67,12 @@ def estimate_dof(
     Raises
     ------
     ValueError
-        On a bad window/grid, or if rate_fn returns a non-finite value.
+        If the window is not finite, starts below 30 dB, does not rise,
+        or reaches past the floating-point range; if n_points is not an
+        integer in 5..MAX_SNR_POINTS; if the window is so narrow that
+        every point has the same SNR (no spread to fit); or if rate_fn
+        returns a non-finite value.  All but the last are raised before
+        rate_fn is called.
     """
     if not (math.isfinite(snr_db_lo) and math.isfinite(snr_db_hi)):
         raise ValueError(f"the dB window must be finite, got [{snr_db_lo!r}, {snr_db_hi!r}]")
@@ -61,16 +87,12 @@ def estimate_dof(
     if not 5 <= n_points <= MAX_SNR_POINTS:
         raise ValueError(f"n_points must lie in 5..{MAX_SNR_POINTS}, got {n_points}")
 
-    dbs = _linspace(snr_db_lo, snr_db_hi, n_points)
-    snrs = [db_to_linear(db) for db in dbs]
-    x = [0.5 * math.log2(snr) for snr in snrs]
+    dbs, snrs, xm, sxx = _fit_grid(snr_db_lo, snr_db_hi, n_points)
     y = [float(rate_fn(snr)) for snr in snrs]
     for db, rate in zip(dbs, y):
         if not math.isfinite(rate):
             raise ValueError(f"rate_fn returned a non-finite value at {db:.6g} dB")
 
-    x_mean, y_mean = math.fsum(x) / n_points, math.fsum(y) / n_points
-    xm = [v - x_mean for v in x]
+    y_mean = math.fsum(y) / n_points
     ym = [v - y_mean for v in y]
-    slope = math.fsum(a * b for a, b in zip(xm, ym)) / math.fsum(a * a for a in xm)
-    return DofEstimate(slope)
+    return DofEstimate(math.fsum(a * b for a, b in zip(xm, ym)) / sxx)

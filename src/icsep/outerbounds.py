@@ -375,8 +375,11 @@ def separate_outerbound(channel: chan.ParallelChannel, snr: float) -> float:
 
     Raises
     ------
+    ValueError
+        If ``snr`` is NaN, infinite or negative.
     NoSeparateBoundError
         If some carrier has no applicable bound (see _separate_gains_sq).
     """
     chan.ensure_parallel_valid(channel)
+    _check_power(snr)
     return _fill_rate(_prepare_fill(_separate_gains_sq(channel)), snr)

@@ -231,14 +231,16 @@ def _half_log2_1p(g: float, p: float) -> float:
 def _tin_rates(gains_sq: list, p: Sequence[float], m: int) -> tuple:
     """Per-user TIN rates (1/M)(1/2)log2(1 + SINR_i), in the log domain where a power overflows."""
     rates = []
-    for i in range(3):
-        signal = p[i] * gains_sq[i][i]
-        noise = 1.0 + sum(p[j] * gains_sq[i][j] for j in range(3) if j != i)
+    # (user, its two interferers); a + b is what builtin sum gives for two terms
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        row = gains_sq[i]
+        signal = p[i] * row[i]
+        noise = 1.0 + (p[j] * row[j] + p[k] * row[k])
         if signal < math.inf and noise < math.inf:
             rates.append(0.5 / m * math.log2(1.0 + signal / noise))
         else:
-            others = [(p[j], gains_sq[i][j]) for j in range(3) if j != i]
-            rates.append(0.5 * _log2_1p_ratio(p[i], gains_sq[i][i], others) / m)
+            others = [(p[j], row[j]), (p[k], row[k])]
+            rates.append(0.5 * _log2_1p_ratio(p[i], row[i], others) / m)
     return tuple(rates)
 
 
@@ -263,11 +265,12 @@ class _Fill(NamedTuple):
 
     gains_sq: list
     floors: list
-    ordered: list
+    pairs: tuple  # (g_m, 1/g_m), the loop items of _fill_rate
+    steps: tuple  # (k, k-th lowest floor), the loop items of _level
 
 
 def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
-    """Floors 1/g_m and the floors sorted.
+    """Floors 1/g_m, and the loop items of _level and _fill_rate built from them once.
 
     Raises
     ------
@@ -285,8 +288,8 @@ def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
                 f"squared gains must be finite and positive, with a finite reciprocal, got {g!r}"
             )
     floors = [1.0 / g for g in gains_sq]
-    ordered = sorted(floors)
-    return _Fill(gains_sq, floors, ordered)
+    steps = tuple(enumerate(sorted(floors), start=1))
+    return _Fill(gains_sq, floors, tuple(zip(gains_sq, floors)), steps)
 
 
 def _level(fill: _Fill, budget: float) -> float:
@@ -301,7 +304,7 @@ def _level(fill: _Fill, budget: float) -> float:
     if budget == 0:
         return 0.0
     total = 0.0
-    for k, floor in enumerate(fill.ordered, start=1):
+    for k, floor in fill.steps:
         total += floor
         candidate = (budget + total) / k
         if candidate >= floor:
@@ -315,7 +318,7 @@ def _fill_rate(fill: _Fill, budget: float) -> float:
     # a loop, as a comprehension is one more frame on 3.11, into builtin sum, not a
     # running total, which would round differently from 3.12 on
     rates = []
-    for g, floor in zip(fill.gains_sq, fill.floors):
+    for g, floor in fill.pairs:
         rates.append(_half_log2_1p(g, 0.0 if (d := level - floor) <= 0.0 else d))
     return sum(rates) / len(rates)
 
@@ -342,6 +345,7 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
     chan.ensure_parallel_valid(channel)
     if not chan.is_user(active_user):
         raise ValueError(f"active_user must be an integer in 1..3, got {active_user!r}")
+    _check_power(snr)
     rate = _fill_rate(_direct_fill(channel, active_user), snr)
     per_user = tuple(rate if i == active_user else 0.0 for i in chan.USERS)
     return RateReport(per_user, rate)
@@ -350,7 +354,7 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
 def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:
     """snr -> the best user's TDMA sum rate."""
     fills = [_direct_fill(channel, i) for i in chan.USERS]
-    return lambda snr: max(_fill_rate(fill, snr) for fill in fills)
+    return lambda snr: max([_fill_rate(fill, snr) for fill in fills])
 
 
 def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], float]]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsep.dof import estimate_dof
-from icsep.rates import MAX_SNR_POINTS
+from icsep.rates import MAX_SNR_POINTS, _linspace, db_to_linear
 
 
 def test_exact_affine_input_recovers_slope():
@@ -70,6 +70,14 @@ def test_bad_window_rejected_before_any_rate_call(lo, hi, match):
     assert calls == []
 
 
+def test_window_without_spread_rejected_before_any_rate_call():
+    # every point's 10 ** (db / 10) rounds to 1e100, so x = (1/2)log2(SNR) has no spread
+    calls = []
+    with pytest.raises(ValueError, match=r"window \[1000\.0, 1000\.0000000000001\] has no spread"):
+        estimate_dof(lambda s: calls.append(s) or 1.0, 1000.0, math.nextafter(1000.0, 2000.0), 5)
+    assert calls == []
+
+
 def test_oversized_grid_rejected_before_any_rate_call():
     # the fit shares the CLI sweep's bound; no grid is built past it
     calls = []
@@ -115,3 +123,34 @@ def test_slope_matches_polyfit(slope, offset, wiggle, freq, lo, width, n):
     snrs = 10.0 ** (np.linspace(lo, lo + width, n) / 10.0)
     want = np.polyfit(0.5 * np.log2(snrs), [rate(s) for s in snrs], 1)[0]
     assert estimate_dof(rate, lo, lo + width, n).slope == pytest.approx(want, abs=1e-12)
+
+
+def uncached_slope(rate_fn, lo=40.0, hi=80.0, n=21):
+    """Reference copy of the fit with its SNR grid built on every call."""
+    dbs = _linspace(lo, hi, n)
+    snrs = [db_to_linear(db) for db in dbs]
+    x = [0.5 * math.log2(snr) for snr in snrs]
+    y = [float(rate_fn(snr)) for snr in snrs]
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    xm = [v - x_mean for v in x]
+    ym = [v - y_mean for v in y]
+    return math.fsum(a * b for a, b in zip(xm, ym)) / math.fsum(a * a for a in xm)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    slope=st.floats(-3.0, 3.0),
+    wiggle=st.floats(0.0, 1.0),
+    freq=st.floats(0.1, 20.0),
+    lo=st.floats(30.0, 100.0),
+    width=st.floats(1.0, 60.0),
+    n=st.integers(5, 60),
+)
+def test_estimate_dof_is_the_uncached_fit_bit_for_bit(slope, wiggle, freq, lo, width, n):
+    def rate(snr):
+        x = 0.5 * math.log2(snr)
+        return slope * x + wiggle * math.sin(freq * x)
+
+    # windows interleaved, so that a grid cached for the wrong window would show
+    for window in ((), (30.0, 90.0, 41), (), (lo, lo + width, n), (), (40, 80, 21)):
+        assert estimate_dof(rate, *window).slope.hex() == uncached_slope(rate, *window).hex()

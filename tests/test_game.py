@@ -169,6 +169,15 @@ def test_player2_wins_when_same_coefficient_controls_all_carriers():
     assert outcome.joint_dof_estimate == pytest.approx(1.0, abs=0.05)
 
 
+# the CLI prints 9 significant digits of the slope; these pin its last bit
+@pytest.mark.parametrize("coeffs, slope_hex", [
+    (((1, 2), (2, 3)), "0x1.7ffe21b742b7dp+0"),  # aligned: the TIN fit
+    (((1, 2), (1, 2)), "0x1.fffe56d8079e1p-1"),  # not aligned: the TDMA fit
+], ids=["tin-fit", "tdma-fit"])
+def test_game_slope_is_pinned_bit_for_bit(coeffs, slope_hex):
+    assert game.play_game(CE, coeffs).joint_dof_estimate.hex() == slope_hex
+
+
 def test_play_game_requires_one_coeff_per_carrier():
     with pytest.raises(ValueError, match="per carrier"):
         game.play_game(CE, [(1, 2)])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from icsep import channel as chan
 from icsep import rates
 from icsep.dof import estimate_dof
+from icsep.outerbounds import separate_outerbound
 
 CE = chan.make_counterexample()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -314,6 +315,69 @@ def test_tdma_rejects_non_finite_snr():
             rates.tdma_rate(CE, 1, snr)
 
 
+@pytest.mark.parametrize("call", [
+    lambda snr: rates.tdma_rate(CE, 1, snr),
+    lambda snr: separate_outerbound(CE, snr),
+], ids=["tdma_rate", "separate_outerbound"])
+@pytest.mark.parametrize("snr", [-1.0, math.nan, math.inf])
+def test_bad_snr_is_blamed_on_snr(call, snr):
+    # the water-fill's own check calls its budget "power budget", a name the caller never passed
+    with pytest.raises(ValueError, match=r"^snr must be finite and nonnegative, got "):
+        call(snr)
+
+
+def old_tin_rates(gains_sq, p, m):
+    """Reference copy of _tin_rates with each user's noise as a generator sum."""
+    out = []
+    for i in range(3):
+        signal = p[i] * gains_sq[i][i]
+        noise = 1.0 + sum(p[j] * gains_sq[i][j] for j in range(3) if j != i)
+        if signal < math.inf and noise < math.inf:
+            out.append(0.5 / m * math.log2(1.0 + signal / noise))
+        else:
+            others = [(p[j], gains_sq[i][j]) for j in range(3) if j != i]
+            out.append(0.5 * rates._log2_1p_ratio(p[i], gains_sq[i][i], others) / m)
+    return tuple(out)
+
+
+# zero (an aligned cross gain, a silent user) and values whose products
+# overflow, so that both branches and the log domain are reached
+tin_value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(tin_value, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.tuples(tin_value, tin_value, tin_value),
+    st.integers(1, 3),
+)
+@example([[1e300] * 3] * 3, (1e300,) * 3, 2)  # every product overflows
+@example([[1.0, 1e300, 1.0]] * 3, (1.0, 1e10, 1.0), 1)  # only some noise overflows
+@example([[1.0, 1.0, 2.0 ** -53]] * 3, (1.0, 1.0, 1.0), 2)  # a + b rounds, which sum compensates from 3.12
+def test_tin_rates_is_the_generator_sum_form_bit_for_bit(gains_sq, p, m):
+    got = rates._tin_rates(gains_sq, p, m)
+    assert [x.hex() for x in got] == [x.hex() for x in old_tin_rates(gains_sq, p, m)]
+
+
+signed_gain = st.builds(
+    lambda mag, neg: -mag if neg else mag, st.floats(min_value=1e-6, max_value=1e6), st.booleans()
+)
+random_channel = st.lists(
+    st.lists(st.lists(signed_gain, min_size=3, max_size=3), min_size=3, max_size=3),
+    min_size=1, max_size=3,
+).map(lambda carriers: chan.ParallelChannel(tuple(chan.SingleCarrierChannel(c) for c in carriers)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_channel,
+    st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(min_value=0.0, max_value=1e300)),
+)
+def test_tdma_curve_is_the_best_tdma_rate_bit_for_bit(channel, snr):
+    want = max(rates.tdma_rate(channel, user, snr).sum_rate for user in chan.USERS)
+    assert rates._tdma_curve(channel)(snr).hex() == want.hex()
+
+
 # --------------------------------------------------------- allocate_power
 
 def half_log2(gain_sq):
@@ -456,7 +520,7 @@ def old_pour(fill, budget):
     if budget == 0:
         return [0.0] * len(fill.floors)
     total = 0.0
-    for k, floor in enumerate(fill.ordered, start=1):
+    for k, floor in enumerate(sorted(fill.floors), start=1):
         total += floor
         candidate = (budget + total) / k
         if candidate >= floor:
