@@ -84,18 +84,32 @@ def _as_float(x) -> float:
         return math.inf
 
 
+def _gain_issue(x: float) -> Optional[str]:
+    """Why validate rejects one gain of a float view, or None when it passes."""
+    if not math.isfinite(x):
+        return "not a finite real number"
+    if abs(x) <= ZERO_TOL:
+        return "zero gain"
+    if not math.isfinite(x * x):
+        return "gain too large: its square overflows"
+    return None
+
+
 def _gain_issues(rows: tuple) -> tuple:
-    """(i, j, message) for each gain of a float view that validate rejects."""
-    issues = []
-    for i, row in enumerate(rows, start=1):
-        for j, x in enumerate(row, start=1):
-            if not math.isfinite(x):
-                issues.append((i, j, "not a finite real number"))
-            elif abs(x) <= ZERO_TOL:
-                issues.append((i, j, "zero gain"))
-            elif not math.isfinite(x * x):
-                issues.append((i, j, "gain too large: its square overflows"))
-    return tuple(issues)
+    """(i, j, message) for each gain of a float view that :func:`_gain_issue` rejects."""
+    return tuple(
+        (i, j, msg)
+        for i, row in enumerate(rows, start=1)
+        for j, x in enumerate(row, start=1)
+        if (msg := _gain_issue(x)) is not None
+    )
+
+
+def _put(rows: tuple, i: int, j: int, x) -> tuple:
+    """3x3 ``rows`` with the 1-based entry (i, j) replaced by x."""
+    row = list(rows[i - 1])
+    row[j - 1] = x
+    return (*rows[: i - 1], tuple(row), *rows[i:])
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,22 @@ class SingleCarrierChannel:
         object.__setattr__(self, "h", rows)
         object.__setattr__(self, "_floats", tuple(tuple(_as_float(x) for x in r) for r in rows))
         object.__setattr__(self, "_issues", _gain_issues(self._floats))
+
+    def _with_gain(self, i: int, j: int, x) -> "SingleCarrierChannel":
+        """This carrier with the 1-based entry (i, j) replaced by ``x``, an int,
+        float or Fraction stored as it is.
+
+        The carrier must have no issues: the other eight entries then have
+        none either, so only ``x`` is converted and checked.  Equal in ``h``,
+        ``_floats`` and ``_issues`` to building the replaced rows in full.
+        """
+        f = _as_float(x)
+        msg = _gain_issue(f)
+        new = object.__new__(SingleCarrierChannel)
+        object.__setattr__(new, "h", _put(self.h, i, j, x))
+        object.__setattr__(new, "_floats", _put(self._floats, i, j, f))
+        object.__setattr__(new, "_issues", () if msg is None else ((i, j, msg),))
+        return new
 
     def gain(self, i: int, j: int):
         """Gain from transmitter j to receiver i; ValueError unless both pass :func:`is_user`."""

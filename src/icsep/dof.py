@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .rates import MAX_SNR_POINTS, _linspace, db_to_linear
+from .rates import MAX_SNR_POINTS, FloatRangeError, _linspace, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,11 @@ def estimate_dof(
         returns a non-finite value.  All but the last are raised before
         rate_fn is called.
     """
-    if not (math.isfinite(snr_db_lo) and math.isfinite(snr_db_hi)):
+    try:
+        finite = math.isfinite(snr_db_lo) and math.isfinite(snr_db_hi)
+    except OverflowError:  # an int bound past the float range
+        raise FloatRangeError("the dB window reaches beyond the floating-point range") from None
+    if not finite:
         raise ValueError(f"the dB window must be finite, got [{snr_db_lo!r}, {snr_db_hi!r}]")
     if not snr_db_lo >= 30.0:
         raise ValueError("snr_db_lo must be at least 30 dB (high-SNR regime)")
@@ -95,4 +99,4 @@ def estimate_dof(
 
     y_mean = math.fsum(y) / n_points
     ym = [v - y_mean for v in y]
-    return DofEstimate(math.fsum(a * b for a, b in zip(xm, ym)) / sxx)
+    return DofEstimate(math.fsum(map(operator.mul, xm, ym)) / sxx)

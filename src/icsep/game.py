@@ -43,7 +43,8 @@ def adversary_best_response(
     forces the ratio collision h[j][k]/h[j][j] == h[i][k]/h[i][j] exactly.  The
     replacement is computed in exact rational arithmetic and stored as a Fraction, so
     ``chan.all_witnesses(result, exact=True)`` is nonempty.  That value is nonzero but may
-    leave the range ``chan.validate`` accepts.
+    leave the range ``chan.validate`` accepts.  The carrier is checked first, so the
+    result converts and checks only the entry it rewrites.
     """
     chan.ensure_valid(carrier)
     try:
@@ -54,15 +55,14 @@ def adversary_best_response(
         raise ValueError(
             f"coefficient position must be an off-diagonal pair with indices in 1..3, got {coeff!r}"
         )
-    k = next(x for x in chan.USERS if x not in (i, j))
+    i, j = int(i), int(j)  # numpy ints as Python ints, the type of the issue indices
+    k = 6 - i - j
     h = carrier.h
     # each stored gain (int, float or Fraction) is an exact integer ratio: one gcd normalises
     an, ad = h[i - 1][k - 1].as_integer_ratio()
     bn, bd = h[j - 1][j - 1].as_integer_ratio()
     cn, cd = h[j - 1][k - 1].as_integer_ratio()
-    rows = [list(row) for row in h]
-    rows[i - 1][j - 1] = Fraction(an * bn * cd, ad * bd * cn)
-    return chan.SingleCarrierChannel(rows)
+    return carrier._with_gain(i, j, Fraction(an * bn * cd, ad * bd * cn))
 
 
 def play_game(

@@ -299,8 +299,8 @@ def _level(fill: _Fill, budget: float) -> float:
     largest k whose level is at or above its own k-th floor (k = 1 always is)
     sets it, and p_m = max(0, level - 1/g_m) is written ``0.0 if d <= 0.0 else d``
     so that a NaN stays NaN.  A zero budget has level 0.0, below every floor.
+    The caller has checked that the budget is finite and nonnegative.
     """
-    _check_power(budget, "power budget")
     if budget == 0:
         return 0.0
     total = 0.0
@@ -326,6 +326,7 @@ def _fill_rate(fill: _Fill, budget: float) -> float:
 def water_fill(gains_sq: Sequence[float], budget: float) -> tuple:
     """Optimal power split for sum_m (1/2)log2(1 + g_m p_m) under sum_m p_m <= budget."""
     fill = _prepare_fill(gains_sq)
+    _check_power(budget, "power budget")
     level = _level(fill, budget)
     return tuple(0.0 if (d := level - floor) <= 0.0 else d for floor in fill.floors)
 
@@ -353,8 +354,8 @@ def tdma_rate(channel: chan.ParallelChannel, active_user: int, snr: float) -> Ra
 
 def _tdma_curve(channel: chan.ParallelChannel) -> Callable[[float], float]:
     """snr -> the best user's TDMA sum rate."""
-    fills = [_direct_fill(channel, i) for i in chan.USERS]
-    return lambda snr: max([_fill_rate(fill, snr) for fill in fills])
+    a, b, c = (_direct_fill(channel, i) for i in chan.USERS)
+    return lambda snr: max(_fill_rate(a, snr), _fill_rate(b, snr), _fill_rate(c, snr))
 
 
 def _tin_curve(channel: chan.ParallelChannel) -> Optional[Callable[[float], float]]:

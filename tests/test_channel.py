@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from icsep import channel as chan
 from icsep.game import adversary_best_response
@@ -70,6 +70,45 @@ def test_validate_reports_gain_whose_square_overflows():
     assert not result.ok
     assert [(i, j) for i, j, _ in result.issues] == [(2, 3)]
     assert chan.validate(carrier([[1, 1, 1], [1, 1, -1e150], [1, 1, 1]])).ok
+
+
+# a valid gain of each type a carrier stores, with either sign
+stored_gain = st.builds(
+    lambda x, sign: sign * x,
+    st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6),
+    ),
+    st.sampled_from((-1, 1)),
+)
+# replacements validate rejects: beyond the float range, at or below ZERO_TOL, a square that overflows
+rejected_gain = st.sampled_from([
+    Fraction(10**400), -(10**400), math.inf, math.nan,
+    Fraction(1, 10**13), chan.ZERO_TOL, -1e-300, 0,
+    1e200, -(10**200), Fraction(10**160, 3),
+])
+
+
+@pytest.mark.parametrize("pos", OFF_DIAG)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(stored_gain, min_size=9, max_size=9), st.one_of(rejected_gain, stored_gain))
+@example([1] * 9, Fraction(10**400))  # not a finite real number
+@example([1] * 9, Fraction(1, 10**13))  # zero gain
+@example([1] * 9, 1e200)  # gain too large: its square overflows
+def test_with_gain_is_the_full_build(pos, flat, x):
+    rows = [flat[0:3], flat[3:6], flat[6:9]]
+    base = carrier(rows)
+    assert chan.validate(base).ok
+    i, j = pos
+    rows[i - 1][j - 1] = x
+    want = carrier(rows)
+    got = base._with_gain(i, j, x)
+    # repr tells int, float and Fraction apart, and is exact for each
+    assert repr(got.h) == repr(want.h)
+    assert [type(v) for row in got.h for v in row] == [type(v) for row in want.h for v in row]
+    assert repr(got._floats) == repr(want._floats)
+    assert got._issues == want._issues
 
 
 def test_validate_counterexample_carriers():

@@ -410,6 +410,14 @@ def test_alloc_names_the_bound_the_water_fill_rejects(capsys):
     assert err.startswith("error:") and "p2p:1e-160" in err and "reciprocal" in err
 
 
+def test_alloc_rejects_a_non_finite_budget(capsys):
+    # water_fill checks the budget; the CLI prints its message, not a traceback
+    cp = run_cli(capsys, "alloc", "--snr-db", "nan", "--bound", "example1")
+    assert cp.returncode == 2
+    assert cp.stderr == "error: power budget must be finite and nonnegative, got nan\n"
+    assert cp.stdout == ""
+
+
 def test_alloc_rejects_unknown_bound(capsys):
     cp = run_cli(capsys, "alloc", "--snr-db", "10", "--bound", "mystery")
     assert cp.returncode != 0

@@ -62,6 +62,9 @@ def test_nonfinite_rate_diagnostic():
     (math.nan, 80.0, "window must be finite"),
     (-math.inf, 80.0, "window must be finite"),
     (40.0, 4000.0, "beyond the floating-point range"),
+    # int bounds that math.isfinite cannot convert to a float (it raises OverflowError)
+    pytest.param(40, 10**400, "beyond the floating-point range", id="int-hi-past-float-range"),
+    pytest.param(10**400, 10**401, "beyond the floating-point range", id="int-window-past-float-range"),
 ])
 def test_bad_window_rejected_before_any_rate_call(lo, hi, match):
     calls = []

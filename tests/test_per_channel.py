@@ -119,24 +119,26 @@ def separate_or_none(channel):
         return None
 
 
-@pytest.mark.parametrize("call, checks", [
-    (lambda: rates.sweep(CE, [float(db) for db in range(61)]), 0),
-    (lambda: ob.separate_outerbound(CE, 10.0), 0),
-    (lambda: rates.ia_feasibility(CE), 0),
-    # the two carriers of player 2's best response
-    (lambda: game.play_game(CE, ((1, 2), (2, 3))), 2),
-    (lambda: rates.sweep(GENERIC, [float(db) for db in range(61)]), 0),
-    (lambda: separate_or_none(GENERIC), 0),
+@pytest.mark.parametrize("call, scans, entries", [
+    (lambda: rates.sweep(CE, [float(db) for db in range(61)]), 0, 0),
+    (lambda: ob.separate_outerbound(CE, 10.0), 0, 0),
+    (lambda: rates.ia_feasibility(CE), 0, 0),
+    # the rewritten entry of each of the two carriers of player 2's best response
+    (lambda: game.play_game(CE, ((1, 2), (2, 3))), 0, 2),
+    (lambda: rates.sweep(GENERIC, [float(db) for db in range(61)]), 0, 0),
+    (lambda: separate_or_none(GENERIC), 0, 0),
     # the two carriers of the built-in
-    (lambda: cli.main(["check", "--builtin", "counterexample"]), 2),
-    (lambda: chan.SingleCarrierChannel(((1, 2, 3), (4, 5, 6), (7, 8, 10))), 1),
+    (lambda: cli.main(["check", "--builtin", "counterexample"]), 2, 0),
+    (lambda: chan.SingleCarrierChannel(((1, 2, 3), (4, 5, 6), (7, 8, 10))), 1, 0),
 ], ids=[
     "sweep", "separate_outerbound", "ia_feasibility", "play_game",
     "sweep-generic", "separate_outerbound-generic", "cli-check", "build-carrier",
 ])
-def test_each_public_call_validates_each_carrier_once(monkeypatch, call, checks):
-    seen = []
-    gain_issues = chan._gain_issues
-    monkeypatch.setattr(chan, "_gain_issues", lambda rows: seen.append(rows) or gain_issues(rows))
+def test_each_public_call_validates_each_carrier_once(monkeypatch, call, scans, entries):
+    full, single = [], []
+    gain_issues, gain_issue = chan._gain_issues, chan._gain_issue
+    monkeypatch.setattr(chan, "_gain_issues", lambda rows: full.append(rows) or gain_issues(rows))
+    monkeypatch.setattr(chan, "_gain_issue", lambda x: single.append(x) or gain_issue(x))
     call()
-    assert len(seen) == checks
+    # a full scan checks its nine entries through _gain_issue too
+    assert (len(full), len(single) - 9 * len(full)) == (scans, entries)
