@@ -51,7 +51,7 @@ class NoSeparateBoundError(ValueError):
     """No finite-SNR per-carrier bound in this library applies to the channel."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenieParams:
     """Genie side-signal parameters: gain on X1, noise std, correlation with Z1."""
 
@@ -78,7 +78,7 @@ class GenieParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacBoundResult:
     """Minimized MAC bound value (bits per real use) and the minimizing params."""
 
@@ -137,12 +137,12 @@ def mac_bound_eval(h: float, snr: float, params: GenieParams) -> float:
             f"needs a finite a1, sigma > 0 and |rho| < 1 - 1e-12 (else the noise covariance "
             f"is singular) and E[(Z1+Z~)^2] <= 1"
         )
-    return _mac_bound_value(h, snr, params)
+    return _mac_bound_value(h, snr, params.a1, params.sigma, params.rho)
 
 
-def _mac_bound_value(h: float, snr: float, params: GenieParams) -> float:
-    """mac_bound_eval on inputs that already passed its checks."""
-    a1, sigma, rho = params.a1, params.sigma, params.rho
+def _mac_bound_value(h: float, snr: float, a1: float, sigma: float, rho: float) -> float:
+    """mac_bound_eval on inputs that already passed its checks, with the genie
+    params as the plain floats a1, sigma and rho of a feasible GenieParams."""
     t = snr / 3.0
     c = rho * sigma
     # float ** raises OverflowError past the float range
@@ -172,7 +172,7 @@ def _mac_bound_value(h: float, snr: float, params: GenieParams) -> float:
         return 0.0
     # NaN: the arithmetic left the float range, by a raise above or an inf - inf
     raise FloatRangeError(
-        f"the genie MAC bound at h={h!r}, snr={snr!r} with {params} "
+        f"the genie MAC bound at h={h!r}, snr={snr!r} with {GenieParams(a1, sigma, rho)} "
         f"is beyond the floating-point range"
     )
 
@@ -232,10 +232,12 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
 
     A coarse grid over 33 values of a1 in [-4h, 4h] x _GRID_PAIRS is still
     scanned first, in a deterministic order with strict improvement, so
-    ties go to the lowest lexicographic grid index.  The boundary optimum
-    replaces the best grid point only if it is strictly lower.  The grid
-    stays until the benchmark's measure loop (benchmarks/worker.py) can
-    time a microsecond task.
+    ties go to the lowest lexicographic grid index.  The grid is evaluated
+    on plain floats, and only the winning point becomes a GenieParams.
+    The boundary optimum replaces the best grid point only if it is
+    strictly lower.  The grid stays until the benchmark's measure loop
+    (benchmarks/worker.py) can both time a microsecond task and hold its
+    outputs.
     """
     _check_symmetric(h, snr)
 
@@ -243,16 +245,14 @@ def mac_bound_optimize(h: float, snr: float) -> MacBoundResult:
     best = None
     for a1 in _linspace(-4.0 * h, 4.0 * h, 33):
         for sigma, rho in _GRID_PAIRS:
-            params = GenieParams(a1, sigma, rho)
-            val = _mac_bound_value(h, snr, params)
+            val = _mac_bound_value(h, snr, a1, sigma, rho)
             if best_val is None or val < best_val:
-                best_val, best = val, params
+                best_val, best = val, (a1, sigma, rho)
 
     val, cand = _boundary_optimum(h, snr)
     if val < best_val:
-        best_val, best = val, cand
-
-    return MacBoundResult(best_val, best)
+        return MacBoundResult(val, cand)
+    return MacBoundResult(best_val, GenieParams(*best))
 
 
 def mac_bound_grid_min(h: float, snr: float, step: float = 0.01) -> float:

@@ -309,6 +309,11 @@ def test_bound_mac_beyond_the_float_range_is_an_error_not_a_traceback(capsys):
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:") and "floating-point range" in cp.stderr
     assert "Traceback" not in cp.stderr
+    assert cp.stderr == (
+        "error: the genie MAC bound at h=1e+80, snr=1.0 with "
+        "GenieParams(a1=-4e+80, sigma=0.08333333333333333, rho=-0.999999) "
+        "is beyond the floating-point range\n"
+    )
 
 
 def test_bound_mac_oracle_rejects_an_oversized_grid(capsys):

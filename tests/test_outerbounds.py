@@ -1,7 +1,10 @@
 """Outerbound tests: closed forms, the genie MAC bound, bound composition."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -452,6 +455,30 @@ ORACLE_INPUTS = [
 def test_mac_bound_optimize_is_the_full_grid_scan_bit_for_bit():
     for h, snr in ORACLE_INPUTS:
         assert mac_outcome(optimize, h, snr) == mac_outcome(full_grid_optimize, h, snr), (h, snr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(math.log(1.0 + 1e-9), math.log(1e6)).map(math.exp),
+    st.just(0.0) | st.floats(-30.0, 12.0).map(lambda e: 10.0 ** e),
+)
+def test_mac_bound_optimize_stays_the_full_grid_scan_bit_for_bit(h, snr):
+    assert mac_outcome(optimize, h, snr) == mac_outcome(full_grid_optimize, h, snr)
+
+
+def test_mac_result_types_are_slotted_and_frozen():
+    result = ob.mac_bound_optimize(2.0, 10.0)
+    for obj in (result, result.params):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.value = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.params.rho = 0.0
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert copy.deepcopy(result) == result
+    assert dataclasses.replace(result, params=dataclasses.replace(result.params)) == result
+    fields = dataclasses.asdict(result)
+    assert ob.MacBoundResult(fields["value"], ob.GenieParams(**fields["params"])) == result
 
 
 def test_coarse_grid_pairs_are_the_feasible_ones():
