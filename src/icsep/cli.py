@@ -171,6 +171,35 @@ def cmd_alloc(args) -> int:
     return 0
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    """``--opt -1e3`` as ``--opt=-1e3``, which argparse always parsed.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a number; on Python 3.10, 3.11 and the early 3.12 and 3.13 patch
+    releases only -1540 or -1.5 do, so a negative value in exponent form (and
+    -inf on every version) after an option fails with "expected one argument".  A '--' option followed by a '-'-led token that
+    float() reads is joined into the '=' form; argparse resolves its
+    abbreviations as before.
+    """
+    joined = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if (prev.startswith("--") and prev != "--" and "=" not in prev
+                and arg.startswith("-") and _is_float(arg)):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icsep",
@@ -217,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError, ImportError) as exc:

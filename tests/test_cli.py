@@ -316,6 +316,34 @@ def test_bound_mac_beyond_the_float_range_is_an_error_not_a_traceback(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound-mac", "--h", "2", "--snr-db", "-1e3", "--snr-db", "-1E1", "--snr-db", "1e1"],
+    ["bound-mac", "--h", "2", "--snr-d", "-.5e1"],
+    ["bound-mac", "--h", "-1e3", "--snr-db", "0"],
+    ["sweep", "--builtin", "counterexample",
+     "--snr-db-start", "-1e1", "--snr-db-stop", "0", "--snr-db-step", "5"],
+    ["sweep", "--builtin", "counterexample",
+     "--snr-db-sta", "-1e1", "--snr-db-sto", "-0.5e1", "--snr-db-ste", "5"],
+    ["alloc", "--snr-db", "-1e1", "--bound", "example1"],
+    ["check", "--builtin", "counterexample", "--tol", "-1e-3"],
+])
+def test_float_options_take_a_negative_value_in_exponent_form(capsys, argv):
+    # argparse reads "-1e3" after an option as an option; the "--opt=-1e3" form always parsed
+    want = run_cli(capsys, *argv[:1], *(
+        f"{arg}={argv[i + 1]}" for i, arg in enumerate(argv) if arg.startswith("--")
+    ))
+    got = run_cli(capsys, *argv)
+    assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+    assert got.returncode == 2 or got.stdout.startswith(("h=2", "snr_db,", "carrier 1"))
+
+
+def test_a_non_float_option_given_an_exponent_form_value_is_an_error(capsys):
+    # "-1e3" is joined to --coeff like to any option, on every Python version
+    got = run_cli(capsys, "game", "--builtin", "counterexample", "--coeff", "-1e3")
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr == "error: coefficient position must look like 'i,j', got '-1e3'\n"
+
+
 def test_bound_mac_oracle_rejects_an_oversized_grid(capsys):
     assert cli.main(["bound-mac", "--h", "1e6", "--snr-db", "0", "--oracle"]) == 2
     assert capsys.readouterr().err.startswith("error:")

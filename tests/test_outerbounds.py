@@ -347,10 +347,13 @@ def test_mac_bound_grid_min_rejects_a_grid_without_a_feasible_point():
     lambda: ob.mac_bound_optimize(2.0, 1e300),
     lambda: ob.mac_bound_eval(1e160, 1.0, ob.GenieParams(0.0, 1.0, -0.5)),
     lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(1e200, 1.0, -0.5)),
-], ids=["optimize-snr", "eval-h", "eval-a1"])
+    lambda: ob.mac_bound_optimize(2e154, 0.0),
+    lambda: ob.mac_bound_eval(2e154, 0.0, ob.GenieParams(0.0, 1.0, -0.5)),
+], ids=["optimize-snr", "eval-h", "eval-a1", "optimize-h-at-zero-snr", "eval-h-at-zero-snr"])
 def test_mac_bound_beyond_the_float_range_raises_a_value_error(call):
     # float ** raises OverflowError, which is not a ValueError, so the CLI
-    # would print a traceback
+    # would print a traceback; (1-h)^2 overflows from h ~ 1.34e154, which
+    # must not read as the bound 0 of an in-range snr = 0 point
     with pytest.raises(FloatRangeError, match="floating-point range"):
         call()
     assert issubclass(FloatRangeError, ValueError)
@@ -447,6 +450,9 @@ ORACLE_INPUTS = [
     (1.3e154, 0.0),
     (1.3e154, 1e154 / 1.3e154 / 1.3e154),
     (1e200, 1.0),  # FloatRangeError at the first feasible point
+    # (1-h)^2 overflows: FloatRangeError at the first feasible point at snr = 0 too
+    (2e154, 0.0),
+    (1e200, 0.0),
     (0.5, 1.0),
     (2.0, -1.0),
 ]
@@ -489,7 +495,11 @@ def test_coarse_grid_pairs_are_the_feasible_ones():
     assert all(abs(sigma * sigma + 2 * rho * sigma) > 1e-9 for sigma, rho in points)
     feasible = tuple((sigma, rho) for sigma, rho in points
                      if sigma * sigma + 2 * rho * sigma <= ob.CONSTRAINT_TOL)
-    assert ob._GRID_PAIRS == feasible and len(feasible) == 144
+    assert tuple(row[:2] for row in ob._GRID_PAIRS) == feasible and len(feasible) == 144
+    # each row's kernel terms are the kernel's own expressions, bit for bit
+    for sigma, rho, s, c, det_k in ob._GRID_PAIRS:
+        assert s.hex() == (sigma * sigma).hex() and c.hex() == (rho * sigma).hex()
+        assert det_k.hex() == (s - c * c).hex()
 
 
 @pytest.mark.parametrize("h, snr, want", [
