@@ -23,7 +23,7 @@ import sys
 
 from . import channel as chan
 from . import game as game_mod
-from .outerbounds import mac_bound_grid_min, mac_bound_optimize
+from .outerbounds import mac_bound_optimize
 from .rates import MAX_SNR_POINTS, _half_log2_1p, _prepare_fill, db_to_linear, sweep
 from .rates import water_fill
 
@@ -117,14 +117,10 @@ def cmd_bound_mac(args) -> int:
         snr = db_to_linear(snr_db)
         result = mac_bound_optimize(args.h, snr)
         p = result.params
-        line = (
+        print(
             f"h={_fmt(args.h)} snr_db={_fmt(snr_db)} snr={_fmt(snr)}: "
             f"bound={_fmt(result.value)} a1={_fmt(p.a1)} sigma={_fmt(p.sigma)} rho={_fmt(p.rho)}"
         )
-        if args.oracle:
-            ref = mac_bound_grid_min(args.h, snr)
-            line += f" oracle={_fmt(ref)} gap={_fmt(result.value - ref)}"
-        print(line)
     return 0
 
 
@@ -225,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True, help="cross gain (must exceed 1)")
     p.add_argument("--snr-db", type=float, action="append", required=True,
                    help="SNR point in dB (repeatable)")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the dense-grid reference and print the gap")
     p.set_defaults(func=cmd_bound_mac)
 
     p = sub.add_parser("game", help="play the adversarial coefficient game")
@@ -249,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, OSError, ImportError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,11 +225,16 @@ def _boundary_optimum(h: float, snr: float) -> tuple:
     quadratic formula cancels near h = 1, and K^2 overflows for large K.
     """
     t = snr / 3.0
-    k = (h - 1.0) ** 2 * (1.0 + h * h * t)
+    try:
+        d = (h - 1.0) ** 2
+    except OverflowError:  # h past ~1.34e154, where _mac_bound_value overflows too
+        msg = f"the genie MAC bound at h={h!r}, snr={snr!r} is beyond the floating-point range"
+        raise FloatRangeError(msg) from None
+    k = d * (1.0 + h * h * t)
     r = 4.0 * h * (h + 1.0) / k
     if not 0.0 < r < math.inf:
         # 4h(h+1) or K overflowed: the same ratio in two factors
-        r = (4.0 * h / (h - 1.0) ** 2) * ((h + 1.0) / (1.0 + h * h * t))
+        r = (4.0 * h / d) * ((h + 1.0) / (1.0 + h * h * t))
     s = 4.0 / (1.0 + math.sqrt(1.0 + r))
     params = _boundary_params(h, snr, math.sqrt(s))
     return mac_bound_eval(h, snr, params), params

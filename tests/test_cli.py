@@ -276,12 +276,13 @@ def test_bound_mac_at_the_edge_of_the_stated_range(capsys):
     assert "bound=509.99" in capsys.readouterr().out
 
 
-def test_bound_mac_with_oracle_gap(capsys):
-    cp = run_cli(capsys, "bound-mac", "--h", "2", "--snr-db", "10", "--oracle")
-    assert cp.returncode == 0, cp.stderr
-    assert "bound=" in cp.stdout and "oracle=" in cp.stdout
-    gap = float(cp.stdout.split("gap=")[1].split()[0])
-    assert abs(gap) <= 1e-3
+def test_bound_mac_has_no_oracle_option(capsys):
+    # the dense-grid oracle is a library function, mac_bound_grid_min
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound-mac", "--h", "2", "--snr-db", "10", "--oracle"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --oracle\n")
 
 
 def test_bound_mac_zero_snr(capsys):
@@ -342,11 +343,6 @@ def test_a_non_float_option_given_an_exponent_form_value_is_an_error(capsys):
     got = run_cli(capsys, "game", "--builtin", "counterexample", "--coeff", "-1e3")
     assert (got.returncode, got.stdout) == (2, "")
     assert got.stderr == "error: coefficient position must look like 'i,j', got '-1e3'\n"
-
-
-def test_bound_mac_oracle_rejects_an_oversized_grid(capsys):
-    assert cli.main(["bound-mac", "--h", "1e6", "--snr-db", "0", "--oracle"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
 
 
 # -------------------------------------------------------------------- game
@@ -477,17 +473,6 @@ def test_runs_without_numpy(code):
     assert cp.returncode == 0, cp.stderr
 
 
-def test_bound_mac_oracle_without_numpy_is_an_error():
-    # the dense-grid oracle is the one subcommand that needs numpy
-    code = ("from icsep import cli; "
-            "sys.exit(cli.main(['bound-mac', '--h', '2', '--snr-db', '10', '--oracle']))")
-    cp = subprocess.run([sys.executable, "-c", _NO_NUMPY + code], capture_output=True, text=True)
-    assert cp.returncode == 2
-    assert "Traceback" not in cp.stderr
-    (line,) = cp.stderr.splitlines()
-    assert line.startswith("error:") and "numpy" in line
-
-
 _CE = chan.make_counterexample()
 _CE_SCHEME = rates.ia_feasibility(_CE)
 _WITH_FRACTION = chan.ParallelChannel(
@@ -532,8 +517,8 @@ def test_ndarray_helpers_keep_type_and_values(call, want):
      "e0688e618efd1c51727506ff85b3974b7efb71708dd1ce38c5ee940611e80937"),
     (["game", "--builtin", "counterexample", "--coeff", "1,2"],
      "803324ef1e365422bc855c83b344b78bc9a82d35fcb0d59981c48748fbd1ee5d"),
-    (["bound-mac", "--h", "2", "--snr-db", "0", "--snr-db", "10", "--snr-db", "20", "--oracle"],
-     "9a951ba708f858d56901626d5bd96470acedd158aaa3b4263b3681a981a356ee"),
+    (["bound-mac", "--h", "2", "--snr-db", "0", "--snr-db", "10", "--snr-db", "20"],
+     "2a8e9ea2c76861ad08938ee29d3d826ff52f0e1f451122070c31112940253d39"),
     # three carriers, where no alignment is implemented: every sweep row is
     # "tdma-fallback no-ia no-separate-bound" and the game prints "winner: player2"
     (["sweep", "--channel", THREE_CARRIERS,

@@ -349,7 +349,10 @@ def test_mac_bound_grid_min_rejects_a_grid_without_a_feasible_point():
     lambda: ob.mac_bound_eval(2.0, 10.0, ob.GenieParams(1e200, 1.0, -0.5)),
     lambda: ob.mac_bound_optimize(2e154, 0.0),
     lambda: ob.mac_bound_eval(2e154, 0.0, ob.GenieParams(0.0, 1.0, -0.5)),
-], ids=["optimize-snr", "eval-h", "eval-a1", "optimize-h-at-zero-snr", "eval-h-at-zero-snr"])
+    lambda: ob._boundary_optimum(2e154, 0.0),
+    lambda: ob._boundary_optimum(1e200, 1.0),
+], ids=["optimize-snr", "eval-h", "eval-a1", "optimize-h-at-zero-snr", "eval-h-at-zero-snr",
+        "boundary-h-at-zero-snr", "boundary-h"])
 def test_mac_bound_beyond_the_float_range_raises_a_value_error(call):
     # float ** raises OverflowError, which is not a ValueError, so the CLI
     # would print a traceback; (1-h)^2 overflows from h ~ 1.34e154, which
@@ -379,6 +382,40 @@ def test_mac_bound_eval_is_exact_for_a_tiny_sigma(sigma, a1, rho):
     params = ob.GenieParams(a1, sigma, rho)
     got = ob.mac_bound_eval(2.0, 10.0, params)
     assert got == pytest.approx(exact_mac_bound(2.0, 10.0, params), rel=1e-12)
+
+
+def assert_matches_exact_mac_bound(h, snr, params):
+    # rel 1e-12, or abs 1e-12 for a value below 1, widened by 1/(1 - rho^2): the
+    # kernel's det K_z = sigma^2 - (rho sigma)^2 loses that factor near |rho| = 1
+    # (a measured 6.5e-12 relative at the grid's rho = -0.999999, h = 2, snr = 10)
+    want = exact_mac_bound(h, snr, params)
+    tol = 1e-12 * max(1.0, want) / (1.0 - params.rho * params.rho)
+    assert abs(ob.mac_bound_eval(h, snr, params) - want) <= tol, (h, snr, params)
+
+
+# the grid's kernel is checked against the grid scan, which runs the same
+# kernel; this holds it to exact rationals at every coarse-grid point
+@pytest.mark.parametrize("h, snr", [(1.01, 0.01), (2.0, 10.0), (9.0, 1e6)])
+def test_mac_bound_eval_matches_exact_rationals_on_the_coarse_grid(h, snr):
+    for a1 in _linspace(-4.0 * h, 4.0 * h, 33):
+        for sigma, rho, *_ in ob._GRID_PAIRS:
+            assert_matches_exact_mac_bound(h, snr, ob.GenieParams(a1, sigma, rho))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(math.log(1.01), math.log(20.0)).map(math.exp),
+    snr=st.floats(math.log(1e-3), math.log(1e7)).map(math.exp),
+    a1_over_h=st.floats(-4.0, 4.0),
+    sigma=st.floats(1e-3, 2.0 - 2e-6),
+    u=st.floats(0.0, 1.0),
+)
+def test_mac_bound_eval_matches_exact_rationals_at_random_feasible_params(
+    h, snr, a1_over_h, sigma, u
+):
+    # rho in [-(1 - 1e-6), -sigma/2], where E[(Z1+Z~)^2] <= 1
+    rho = -0.5 * sigma - u * (1.0 - 1e-6 - 0.5 * sigma)
+    assert_matches_exact_mac_bound(h, snr, ob.GenieParams(a1_over_h * h, sigma, rho))
 
 
 @pytest.mark.parametrize("sigma", [1e-154, 1e-160, 1e-162, 1e-200, 1e-300])
