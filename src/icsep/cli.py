@@ -147,7 +147,7 @@ def _parse_bound(text: str) -> float:
     if text.startswith("p2p:"):
         try:
             gain = float(text[4:])
-            return _prepare_fill([gain * gain]).gains_sq[0]  # the water-fill's own gain rule
+            return _prepare_fill([gain * gain]).pairs[0][0]  # the water-fill's own gain rule
         except ValueError as exc:
             raise ValueError(f"--bound {text}: {exc}") from None
     raise ValueError(f"unknown bound spec {text!r} (use 'example1' or 'p2p:<gain>')")

@@ -88,10 +88,10 @@ class MacBoundResult:
 
 def _pair_terms(sigma: float, rho: float) -> tuple:
     """The kernel's terms of one (sigma, rho) pair: (sigma, rho, s, c, det_k) with
-    s = sigma^2, c = rho*sigma and det_k = det K_z = s - c^2."""
+    s = sigma^2, c = rho*sigma and det_k = det K_z = s(1 - rho^2), formed as
+    s(1 - rho)(1 + rho), which does not cancel near |rho| = 1 as s - c^2 does."""
     s = sigma * sigma
-    c = rho * sigma
-    return sigma, rho, s, c, s - c * c
+    return sigma, rho, s, rho * sigma, s * ((1.0 - rho) * (1.0 + rho))
 
 
 # the coarse grid's (sigma, rho) pairs, sigma in (0, 2] and rho in (-1, 1), that pass

@@ -263,14 +263,13 @@ def tin_rate(channel: chan.ParallelChannel, scheme: BeamformingScheme) -> RateRe
 class _Fill(NamedTuple):
     """The budget-free part of water-filling one gain vector, as Python floats."""
 
-    gains_sq: list
-    floors: list
-    pairs: tuple  # (g_m, 1/g_m), the loop items of _fill_rate
-    steps: tuple  # (k, k-th lowest floor), the loop items of _level
+    pairs: tuple  # (g_m, o_m), o_m = 1/g_m - min_k 1/g_k, the loop items of _fill_rate
+    steps: tuple  # (k, k-th lowest offset), the loop items of _level
 
 
 def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
-    """Floors 1/g_m, and the loop items of _level and _fill_rate built from them once.
+    """Offsets o_m of the floors 1/g_m above the lowest one, and the loop items of
+    _level and _fill_rate built from them once.
 
     Raises
     ------
@@ -288,26 +287,25 @@ def _prepare_fill(gains_sq: Sequence[float]) -> _Fill:
                 f"squared gains must be finite and positive, with a finite reciprocal, got {g!r}"
             )
     floors = [1.0 / g for g in gains_sq]
-    steps = tuple(enumerate(sorted(floors), start=1))
-    return _Fill(gains_sq, floors, tuple(zip(gains_sq, floors)), steps)
+    lowest = min(floors)
+    offsets = [floor - lowest for floor in floors]
+    return _Fill(tuple(zip(gains_sq, offsets)), tuple(enumerate(sorted(offsets), start=1)))
 
 
 def _level(fill: _Fill, budget: float) -> float:
-    """The water level of one budget over a prepared gain vector.
+    """The water level of one budget over a prepared gain vector, above the lowest floor.
 
-    The level over the k lowest floors is (budget + their running sum)/k; the
-    largest k whose level is at or above its own k-th floor (k = 1 always is)
-    sets it, and p_m = max(0, level - 1/g_m) is written ``0.0 if d <= 0.0 else d``
-    so that a NaN stays NaN.  A zero budget has level 0.0, below every floor.
-    The caller has checked that the budget is finite and nonnegative.
+    The level over the k lowest offsets is (budget + their running sum)/k; the
+    largest k whose level is at or above its own k-th offset sets it.  The first
+    offset is 0, so k = 1 always is, and a zero budget has level 0.0.  Then
+    p_m = max(0, level - o_m) is written ``0.0 if d <= 0.0 else d`` so that a
+    NaN stays NaN.  The caller has checked that the budget is finite and nonnegative.
     """
-    if budget == 0:
-        return 0.0
     total = 0.0
-    for k, floor in fill.steps:
-        total += floor
+    for k, offset in fill.steps:
+        total += offset
         candidate = (budget + total) / k
-        if candidate >= floor:
+        if candidate >= offset:
             level = candidate
     return level
 
@@ -318,8 +316,8 @@ def _fill_rate(fill: _Fill, budget: float) -> float:
     # a loop, as a comprehension is one more frame on 3.11, into builtin sum, not a
     # running total, which would round differently from 3.12 on
     rates = []
-    for g, floor in fill.pairs:
-        rates.append(_half_log2_1p(g, 0.0 if (d := level - floor) <= 0.0 else d))
+    for g, offset in fill.pairs:
+        rates.append(_half_log2_1p(g, 0.0 if (d := level - offset) <= 0.0 else d))
     return sum(rates) / len(rates)
 
 
@@ -328,7 +326,7 @@ def water_fill(gains_sq: Sequence[float], budget: float) -> tuple:
     fill = _prepare_fill(gains_sq)
     _check_power(budget, "power budget")
     level = _level(fill, budget)
-    return tuple(0.0 if (d := level - floor) <= 0.0 else d for floor in fill.floors)
+    return tuple(0.0 if (d := level - offset) <= 0.0 else d for _, offset in fill.pairs)
 
 
 def _direct_fill(channel: chan.ParallelChannel, user: int) -> _Fill:

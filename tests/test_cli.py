@@ -530,6 +530,11 @@ def test_ndarray_helpers_keep_type_and_values(call, want):
      "9f8a42219d405805367c2451c38a302028a9443d6183e574b34481f90785e2c8"),
     (["alloc", "--snr-db", "10", "--bound", "example1", "--bound", "p2p:2.0"],
      "ba8a89f7060f091abdeafc3fb446a2bad0ca6d9428de0b50eb6936f4d3d6ea07"),
+    # one carrier whose share is small against its floor 1/g^2 gets exactly the budget
+    (["alloc", "--snr-db", "-10", "--bound", "p2p:1e-4"],
+     "7f460fa1d79d28a40decae2f4be220322d716af5a8ebbcfa7ff17e3239504905"),
+    (["alloc", "--snr-db", "0", "--bound", "p2p:1e-10"],
+     "b8d012430fb9c9abf4ffbe58c9810c48f4d14ab139088f0c1c7de6e6319338bd"),
 ])
 def test_golden_output(capsys, argv, digest):
     # frozen stdout digests: a changed printed digit shows up here

@@ -385,11 +385,9 @@ def test_mac_bound_eval_is_exact_for_a_tiny_sigma(sigma, a1, rho):
 
 
 def assert_matches_exact_mac_bound(h, snr, params):
-    # rel 1e-12, or abs 1e-12 for a value below 1, widened by 1/(1 - rho^2): the
-    # kernel's det K_z = sigma^2 - (rho sigma)^2 loses that factor near |rho| = 1
-    # (a measured 6.5e-12 relative at the grid's rho = -0.999999, h = 2, snr = 10)
+    # rel 1e-12, or abs 1e-12 for a value below 1
     want = exact_mac_bound(h, snr, params)
-    tol = 1e-12 * max(1.0, want) / (1.0 - params.rho * params.rho)
+    tol = 1e-12 * max(1.0, want)
     assert abs(ob.mac_bound_eval(h, snr, params) - want) <= tol, (h, snr, params)
 
 
@@ -536,7 +534,7 @@ def test_coarse_grid_pairs_are_the_feasible_ones():
     # each row's kernel terms are the kernel's own expressions, bit for bit
     for sigma, rho, s, c, det_k in ob._GRID_PAIRS:
         assert s.hex() == (sigma * sigma).hex() and c.hex() == (rho * sigma).hex()
-        assert det_k.hex() == (s - c * c).hex()
+        assert det_k.hex() == (s * ((1.0 - rho) * (1.0 + rho))).hex()
 
 
 @pytest.mark.parametrize("h, snr, want", [

@@ -204,6 +204,25 @@ def test_tdma_matches_grid_oracle_on_random_gains():
         assert got == pytest.approx(oracle, abs=1e-6)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 0.37, 1.0, 3.0])
+def test_fill_callers_are_the_closed_form_on_a_scaled_counterexample(c):
+    # every gain has magnitude c, so each carrier gets snr/2 and the rate per
+    # carrier is (1/2)log2(1 + c^2 snr/2), bit for bit, also where snr/2 is
+    # small against the floor 1/c^2
+    channel = chan.ParallelChannel(tuple(
+        chan.SingleCarrierChannel(tuple(tuple(c * x for x in row) for row in carrier.h))
+        for carrier in CE.carriers
+    ))
+    grid = range(-60, 61, 5)
+    rows = rates.sweep(channel, grid)
+    for db, row in zip(grid, rows):
+        snr = rates.db_to_linear(db)
+        want = 0.5 * math.log2(1.0 + c * c * (snr / 2.0))
+        got = (separate_outerbound(channel, snr), rates.tdma_rate(channel, 1, snr).sum_rate,
+               row.separate_outer, row.tdma)
+        assert [x.hex() for x in got] == [want.hex()] * 4, (db, got, want)
+
+
 def test_tdma_rejects_bad_user():
     # a bool or a float equal to a user index is not one, and 0 or -1 must not wrap round
     for user in (4, True, np.True_, 1.0, np.float64(1), 0, -1):
@@ -442,10 +461,23 @@ def test_water_fill_asymmetric_frozen_split():
     assert rates.water_fill([4.0, 1.0], 3.0) == (1.875, 1.125)
 
 
-def test_water_fill_budget_below_float_step_returns_zero_split():
-    # 1 + 1e-300 == 1, so no level clears the floor strictly; the fill
-    # still returns a valid (all-zero) split instead of failing
-    assert rates.water_fill([1.0, 1.0], 1e-300) == (0.0, 0.0)
+def test_water_fill_splits_a_budget_below_the_float_step():
+    # 1 + 1e-300 == 1, yet the level is measured from the lowest floor, so the
+    # two equal floors share the budget instead of dropping it
+    assert rates.water_fill([1.0, 1.0], 1e-300) == (5e-301, 5e-301)
+
+
+@pytest.mark.parametrize("k, gain_sq, budget", [
+    # one carrier gets exactly its budget
+    (1, 0.37, 5e-324), (1, 0.37, 1e-300), (1, 0.37, 0.1), (1, 1e-200, 3.0), (1, 1e200, 1e308),
+    # k equal floors get exactly budget / k
+    (3, 10.0, 0.1), (3, 1e-200, 1e300), (5, 1 / 64, 1e-3), (8, 7.0, 1e308),
+    # three floors 1/10 add up to more than 3/10; measured from the lowest
+    # floor they are three zeros, so a zero budget needs no rule of its own
+    (3, 10.0, 0.0),
+])
+def test_water_fill_splits_equal_floors_exactly(k, gain_sq, budget):
+    assert rates.water_fill([gain_sq] * k, budget) == (budget / k,) * k
 
 
 def test_water_fill_rejects_bad_budget():
@@ -512,27 +544,15 @@ def test_water_fill_objective_matches_generic_allocator(case):
     assert exact >= sum(f(p) for f, p in zip(fns, reference.per_carrier)) - 1e-12
 
 
-# Reference copies of the list-form water-fill kernels: a list of powers, then
-# a list of per-carrier rates.  The one-pass kernels must match them bit for bit.
-
-def old_pour(fill, budget):
-    rates._check_power(budget, "power budget")
-    if budget == 0:
-        return [0.0] * len(fill.floors)
-    total = 0.0
-    for k, floor in enumerate(sorted(fill.floors), start=1):
+def exact_fill(floors, budget):
+    """Water-fill ``budget`` over ``floors`` in exact rationals: p_m = max(0, L - f_m)."""
+    budget = Fraction(budget)
+    total = Fraction(0)
+    for k, floor in enumerate(sorted(floors), start=1):
         total += floor
-        candidate = (budget + total) / k
-        if candidate >= floor:
+        if (candidate := (budget + total) / k) >= floor:
             level = candidate
-    return [0.0 if d <= 0.0 else d for d in [level - floor for floor in fill.floors]]
-
-
-def old_half_log2_1p(gains_sq, powers):
-    return [
-        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf else 0.5 * rates._log2_1p_ratio(g, p)
-        for g, p in zip(gains_sq, powers)
-    ]
+    return [max(Fraction(0), level - floor) for floor in floors]
 
 
 # squared gains across the whole range the fill accepts, and budgets from
@@ -543,8 +563,53 @@ wide_fill_case = st.tuples(
 )
 
 
-# three floors 1/10 add up to more than 3/10, so only the zero-budget rule
-# keeps ([10.0] * 3, 0.0) from pouring a few ulps
+# The reference pours over the kernel's own floors 1/g_m as floats: their rounding,
+# half an ulp of each floor, is the input's, and no fill of those floats undoes it.
+# Tolerances, in ulps of the budget (an ulp is 2^-1074 for a subnormal one):
+# - each power within k ulps; an adversarial search over 8 carriers whose level
+#   sits just above the highest offset measured 2.5;
+# - the spend at most k^2 ulps over the budget, which covers the worst-case
+#   rounding of the running offset sum, of budget + sum, of the division and of
+#   the k subtractions; the same search measured 15 at k = 8, three seeds of
+#   4,000 random fills at most 1.04, and one carrier spends exactly its budget.
+@settings(max_examples=300, deadline=None)
+@given(wide_fill_case)
+@example(([10.0] * 3, 0.0))
+@example(([1.0, 1.0], 1e-300))
+@example(([1e300, 1e200, 1.0], 1e300))
+def test_water_fill_matches_an_exact_fill(case):
+    gains_sq, budget = case
+    k, ulp = len(gains_sq), math.ulp(budget)
+    alloc = rates.water_fill(gains_sq, budget)
+    want = exact_fill([Fraction(1.0 / g) for g in gains_sq], budget)
+    assert all(abs(Fraction(p) - w) <= k * ulp for p, w in zip(alloc, want)), (alloc, want)
+    assert sum(Fraction(p) for p in alloc) <= Fraction(budget) + k * k * Fraction(ulp)
+
+
+# Reference copies of the list-form water-fill kernels: a list of powers, then
+# a list of per-carrier rates.  Like the one-pass kernels, the pour measures the
+# level from the lowest floor 1/g_m; the one-pass kernels must match it bit for bit.
+
+def old_pour(gains_sq, budget):
+    rates._check_power(budget, "power budget")
+    floors = [1.0 / g for g in gains_sq]
+    offsets = [floor - min(floors) for floor in floors]
+    total = 0.0
+    for k, offset in enumerate(sorted(offsets), start=1):
+        total += offset
+        candidate = (budget + total) / k
+        if candidate >= offset:
+            level = candidate
+    return [0.0 if d <= 0.0 else d for d in [level - offset for offset in offsets]]
+
+
+def old_half_log2_1p(gains_sq, powers):
+    return [
+        0.5 * math.log2(1.0 + x) if (x := g * p) < math.inf else 0.5 * rates._log2_1p_ratio(g, p)
+        for g, p in zip(gains_sq, powers)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(wide_fill_case)
 @example(([10.0] * 3, 0.0))
@@ -552,16 +617,15 @@ wide_fill_case = st.tuples(
 @example(([1e300, 1e200, 1.0], 1e300))
 def test_fill_rate_is_the_list_form_bit_for_bit(case):
     gains_sq, budget = case
-    fill = rates._prepare_fill(gains_sq)
-    old = sum(old_half_log2_1p(fill.gains_sq, old_pour(fill, budget))) / len(fill.floors)
-    assert rates._fill_rate(fill, budget).hex() == old.hex()
+    old = sum(old_half_log2_1p(gains_sq, old_pour(gains_sq, budget))) / len(gains_sq)
+    assert rates._fill_rate(rates._prepare_fill(gains_sq), budget).hex() == old.hex()
 
 
 def test_fill_rate_example_reaches_the_log_domain():
     # the last example above: g p overflows on the first carrier, whose rate
     # then goes through _log2_1p_ratio, and the mean stays finite
     fill = rates._prepare_fill([1e300, 1e200, 1.0])
-    assert fill.gains_sq[0] * old_pour(fill, 1e300)[0] == math.inf
+    assert fill.pairs[0][0] * rates.water_fill([1e300, 1e200, 1.0], 1e300)[0] == math.inf
     assert math.isfinite(rates._fill_rate(fill, 1e300))
 
 
@@ -571,7 +635,7 @@ def test_fill_rate_example_reaches_the_log_domain():
 @example(([1.0, 1.0], 1e-300))
 def test_water_fill_is_the_old_pour_bit_for_bit(case):
     gains_sq, budget = case
-    old = old_pour(rates._prepare_fill(gains_sq), budget)
+    old = old_pour(gains_sq, budget)
     assert [p.hex() for p in rates.water_fill(gains_sq, budget)] == [p.hex() for p in old]
 
 
